@@ -240,7 +240,7 @@ def certify(h: int, depth: str = "full", seed=None,
         for name in ("scheme_hx", "scheme_pw", "eigenmatrix", "krein", "srg"):
             blocks[name] = {"skipped": reason}
     else:
-        _analytics_blocks(ctx, hx, pw, blocks, failures)
+        _analytics_blocks(ctx, hx, blocks, failures)
     timings["analytics_s"] = round(time.time() - t0, 3)
 
     # -- fine refinement ------------------------------------------------------------
@@ -335,44 +335,40 @@ def _klein_image_consistency(ctx, lines, spreads):
             "nonsingular_images": singular_fail}
 
 
-def _analytics_blocks(ctx, hx, pw, blocks, failures):
+def _analytics_blocks(ctx, hx, blocks, failures):
+    """Scheme analytics of both tables, computed once.
+
+    The routes block has already shown the pw table equal to the hx table
+    (np.array_equal), so the hx analytics stand for both: `scheme_pw`
+    repeats `scheme_hx`, and the cross-table comparisons hold by equality.
+    """
     q = ctx.q
-    analytics = {}
-    for name, tbl in (("scheme_hx", hx["table"]), ("scheme_pw", pw["table"])):
-        try:
-            an = schemes.verify_scheme(RelationTable(tbl, d=3))
-            analytics[name] = an
-            blocks[name] = {"pass": True, "d": 3, "valencies": an.valencies}
-        except SchemeAxiomError as exc:
+    try:
+        an = schemes.verify_scheme(RelationTable(hx["table"], d=3))
+    except SchemeAxiomError as exc:
+        for name in ("scheme_hx", "scheme_pw"):
             blocks[name] = {"pass": False, "error": str(exc), "witness": exc.witness}
             failures.append({"block": name, "error": str(exc)})
-    if len(analytics) < 2:
         return
+    for name in ("scheme_hx", "scheme_pw"):
+        blocks[name] = {"pass": True, "d": 3, "valencies": an.valencies}
     try:
-        eig = {}
-        for name, an in analytics.items():
-            P, Q, mult = an.eigenmatrix()
-            eig[name] = (P, Q, mult)
+        P, Q, mult = an.eigenmatrix()
         expected = schemes.expected_p_matrix(q)
-        match = all(set(map(tuple, eig[name][0])) == set(map(tuple, expected))
-                    for name in eig)
-        same = eig["scheme_hx"][0] == eig["scheme_pw"][0]
-        P, Q, mult = eig["scheme_hx"]
+        match = set(map(tuple, P)) == set(map(tuple, expected))
         blocks["eigenmatrix"] = {
-            "pass": match and same, "P": _frac_matrix(P), "Q": _frac_matrix(Q),
+            "pass": match, "P": _frac_matrix(P), "Q": _frac_matrix(Q),
             "multiplicities": mult, "matches_family_formula": match,
-            "hx_equals_pw": same,
+            "hx_equals_pw": True,
         }
-        if not (match and same):
+        if not match:
             failures.append({"block": "eigenmatrix"})
 
-        an = analytics["scheme_hx"]
         kr = an.krein()
         qpoly = an.q_polynomial_orderings()
         ppoly = an.p_polynomial_orderings()
-        qpoly_pw = analytics["scheme_pw"].q_polynomial_orderings()
         prim = an.primitivity()
-        kr_ok = bool(qpoly) and not ppoly and qpoly == qpoly_pw and prim["pass"]
+        kr_ok = bool(qpoly) and not ppoly and prim["pass"]
         blocks["krein"] = {
             "pass": kr_ok,
             "parameters": [[[frac_str(kr[k][i][j]) for j in range(4)]
@@ -380,7 +376,7 @@ def _analytics_blocks(ctx, hx, pw, blocks, failures):
             "nonnegative": True,  # krein() raises otherwise
             "q_polynomial_orderings": qpoly,
             "p_polynomial_orderings": ppoly,
-            "orderings_match_across_tables": qpoly == qpoly_pw,
+            "orderings_match_across_tables": True,
             "primitive": prim["pass"],
         }
         if not kr_ok:
@@ -389,7 +385,7 @@ def _analytics_blocks(ctx, hx, pw, blocks, failures):
         srg_expected = {"v": q * q * (q * q - 1) // 2, "k": (q * q + 1) * (q - 1),
                         "lambda": q * q + q - 2, "mu": 2 * (q * q - q)}
         merged = _srg_fusion_classes(an, srg_expected["k"])
-        res = schemes.srg_check(an.table, merged)
+        res = an.srg_parameters(merged)
         srg_ok = (res.get("pass") and not res.get("degenerate")
                   and all(res[k] == srg_expected[k] for k in srg_expected)
                   and merged == [1, 2])

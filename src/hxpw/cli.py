@@ -6,8 +6,9 @@ influenced a run is echoed into the output header, so results are
 deterministic functions of the command line alone.
 
 `--threads` caps the BLAS pool used by the counting products (results are
-independent of it); everything else in the pipeline is single-threaded
-numpy and exact arithmetic.
+independent of it) when threadpoolctl is installed, and says on stderr that
+it is ignored when it is not; everything else in the pipeline is
+single-threaded numpy and exact arithmetic.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ def _threads_context(threads):
         from threadpoolctl import threadpool_limits
         return threadpool_limits(limits=threads)
     except ImportError:
+        print("--threads ignored: threadpoolctl is not installed", file=sys.stderr)
         return contextlib.nullcontext()
 
 

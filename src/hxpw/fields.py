@@ -16,10 +16,11 @@ by trial division.  Each tower also carries a distinguished element
 GF(q^2)-basis of GF(q^4) and pins down every construction that needs a
 fixed basis choice.
 
-Scalar multiplication runs on log/exp tables over a fixed multiplicative
-generator; scalar inversion uses the extended Euclidean algorithm on
-polynomials.  Bulk operations on numpy int arrays use the same tables and
-are cross-checked against the scalar route in the test suite.
+Scalar multiplication and inversion run on log/exp tables over a fixed
+multiplicative generator; the test suite checks inversion against the
+extended Euclidean algorithm on polynomials.  Bulk operations on numpy int
+arrays use the same tables and are cross-checked against the scalar route
+in the test suite.
 """
 
 from __future__ import annotations
@@ -56,18 +57,6 @@ def polymod(p: int, m: int) -> int:
         p ^= m << (dp - dm)
         dp = poly_degree(p)
     return p
-
-
-def polydivmod(p: int, m: int):
-    """Quotient and remainder of p divided by m (m != 0)."""
-    dm = poly_degree(m)
-    q = 0
-    dp = poly_degree(p)
-    while dp >= dm:
-        q |= 1 << (dp - dm)
-        p ^= m << (dp - dm)
-        dp = poly_degree(p)
-    return q, p
 
 
 def is_irreducible(p: int) -> bool:
@@ -215,18 +204,11 @@ class FieldTower:
         return self._sqr[self.check(a)]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by the extended Euclidean algorithm."""
+        """Multiplicative inverse: g^(-log a) from the log/exp tables."""
         self.check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        # Invariant: ua * a == ra (mod modulus), ub * a == rb (mod modulus).
-        ra, rb = self.modulus, a
-        ua, ub = 0, 1
-        while rb != 1:
-            qt, rr = polydivmod(ra, rb)
-            ra, rb = rb, rr
-            ua, ub = ub, ua ^ polymod(clmul(qt, ub), self.modulus)
-        return ub
+        return self._exp[(self.size - 1 - self._log[a]) % (self.size - 1)]
 
     def div(self, a: int, b: int) -> int:
         self.check(a)

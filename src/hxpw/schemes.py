@@ -1,11 +1,17 @@
 """Association-scheme analytics over relation tables.
 
 A relation table is an n x n integer matrix with 0 exactly on the diagonal
-and symmetric classes 1..d off it.  Axiom verification counts, for every
-ordered class triple (i, j, k), the number of two-step walks i-then-j
-between the endpoints of each class-k pair and demands constancy; the
-counts are the intersection numbers p^k_ij.  Counting uses float64 matrix
-products, which are exact here (every count is at most n < 2^53).
+and symmetric classes 1..d off it.  Axiom verification counts two-step
+walks: for 1 <= i <= j <= d-1 it forms the product A_i A_j of the class
+adjacency matrices and demands that it be constant on every class k; the
+constants are the intersection numbers p^k_ij.  That is (d-1)d/2 products
+(3 for d = 3) instead of all (d+1)(d+2)/2, by the Bose-Mesner argument
+(Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 2.1): A_0 = I gives
+p^k_0j = delta_jk, the diagonal of A_i A_i shows class i regular with
+valency k_i, and sum_j A_j = J then closes the span under products, with
+p^k_id = k_i - sum_{j<d} p^k_ij and k_d = n - 1 - sum_{i<d} k_i.  The
+products run in float32, which is exact here: every partial sum is a walk
+count of at most n, and tables with n >= 2^24 are refused.
 
 Everything downstream of the counts is exact rational arithmetic on
 (d+1)-square matrices:
@@ -118,8 +124,12 @@ def _charpoly(A):
     return coeffs
 
 
-def _int_roots(coeffs):
-    """Integer roots with multiplicity of a monic integer polynomial."""
+def _int_roots(coeffs, bound):
+    """Integer roots with multiplicity of a monic integer polynomial.
+
+    Every root divides the constant term, and the caller knows that no root
+    exceeds `bound` in absolute value, so only divisors up to it are tried.
+    """
     coeffs = list(coeffs)
     if any(c.denominator != 1 for c in coeffs):
         raise SchemeAxiomError("characteristic polynomial is not integral")
@@ -130,7 +140,7 @@ def _int_roots(coeffs):
         if c0 == 0:
             root = 0
         else:
-            cands = sorted({d for d in range(1, abs(c0) + 1) if c0 % d == 0})
+            cands = [d for d in range(1, min(abs(c0), bound) + 1) if c0 % d == 0]
             root = next((r for d in cands for r in (d, -d) if ev(r) == 0), None)
             if root is None:
                 raise SchemeAxiomError(
@@ -171,53 +181,67 @@ class RelationTable:
                 "classes_in_range": off_ok, "empty_classes": empty,
                 "degenerate": bool(empty)}
 
-    def valencies(self):
-        """Per-class degrees; raises if any class is not regular."""
-        out = []
-        for k in range(1, self.d + 1):
-            rows = (self.classes == k).sum(axis=1)
-            if rows.min() != rows.max():
-                raise SchemeAxiomError(
-                    f"class {k} is not regular",
-                    {"class": k, "min_degree": int(rows.min()),
-                     "max_degree": int(rows.max())})
-            out.append(int(rows[0]))
-        return out
+
+FLOAT32_EXACT = 1 << 24  # float32 holds every integer below this exactly
 
 
 def verify_scheme(table: RelationTable):
-    """Full intersection-number constancy check; returns the analytics."""
+    """Intersection-number constancy from the products A_i A_j, 1 <= i <= j < d.
+
+    The remaining p-numbers follow from A_0 = I and sum_j A_j = J (see the
+    module docstring); returns the analytics.
+    """
+    n, d = table.n, table.d
+    if n >= FLOAT32_EXACT:
+        raise SchemeAxiomError(
+            f"n = {n} is too large for exact float32 walk counts",
+            {"n": n, "limit": FLOAT32_EXACT})
     rep = table.structure_report()
     if not (rep["symmetric"] and rep["diagonal_ok"] and rep["classes_in_range"]):
         raise SchemeAxiomError("structural invariant violated", rep)
     if rep["empty_classes"]:
         raise SchemeAxiomError(
             f"empty classes {rep['empty_classes']} (degenerate table)", rep)
-    n, d = table.n, table.d
     c = table.classes
-    A = [(c == k).astype(np.float64) for k in range(d + 1)]
-    masks = [c == k for k in range(d + 1)]
-    firsts = [tuple(int(x[0]) for x in np.nonzero(masks[k])) for k in range(d + 1)]
+    firsts = [divmod(int(np.argmax(c == k)), n) for k in range(d + 1)]
+    A = {k: (c == k).astype(np.float32) for k in range(1, d)}
     p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(i, d + 1):
+    for i in range(1, d):
+        for j in range(i, d):
             C = A[i] @ A[j]
+            lut = np.array([C[x, y] for x, y in firsts], dtype=np.float32)
+            if not np.array_equal(C, lut[c]):
+                raise _walk_witness(C, c, i, j, firsts)
             for k in range(d + 1):
-                vals = C[masks[k]]
-                v0 = vals[0]
-                if not np.all(vals == v0):
-                    bad = int(np.argmax(vals != v0))
-                    xs, ys = np.nonzero(masks[k])
-                    raise SchemeAxiomError(
-                        f"count of (R{i}, R{j}) walks is not constant on class {k}",
-                        {"i": i, "j": j, "k": k,
-                         "base_pair": [firsts[k][0], firsts[k][1]],
-                         "count": int(v0),
-                         "other_pair": [int(xs[bad]), int(ys[bad])],
-                         "other_count": int(vals[bad])})
-                p[k][i][j] = int(v0)
-                p[k][j][i] = int(v0)
+                p[k][i][j] = p[k][j][i] = int(lut[k])
+    # the diagonal of A_i A_i was constant: class i is regular of degree k_i
+    val = [1] + [p[0][i][i] for i in range(1, d)]
+    val.append(n - 1 - sum(val[1:]))
+    for k in range(d + 1):
+        for j in range(d + 1):
+            p[k][0][j] = p[k][j][0] = int(j == k)
+        for i in range(1, d):
+            p[k][i][d] = p[k][d][i] = val[i] - sum(p[k][i][:d])
+        p[k][d][d] = val[d] - sum(p[k][i][d] for i in range(d))
     return SchemeAnalytics(table, p)
+
+
+def _walk_witness(C, c, i, j, firsts):
+    """The first class on which the (R_i, R_j) walk counts C vary."""
+    for k, (x0, y0) in enumerate(firsts):
+        vals = C[c == k]
+        v0 = C[x0, y0]
+        if not np.all(vals == v0):
+            bad = int(np.argmax(vals != v0))
+            xs, ys = np.nonzero(c == k)
+            return SchemeAxiomError(
+                f"count of (R{i}, R{j}) walks is not constant on class {k}",
+                {"i": i, "j": j, "k": k,
+                 "base_pair": [x0, y0],
+                 "count": int(v0),
+                 "other_pair": [int(xs[bad]), int(ys[bad])],
+                 "other_count": int(vals[bad])})
+    raise AssertionError("walk counts differ from the lookup but no class varies")
 
 
 class SchemeAnalytics:
@@ -243,7 +267,8 @@ class SchemeAnalytics:
         d1 = self.d + 1
         Bts = [[[self.intersection_matrix(i)[k][j] for k in range(d1)]
                 for j in range(d1)] for i in range(1, d1)]  # transposed B_i
-        roots = _int_roots(_charpoly(Bts[0]))
+        # B_i is nonnegative with row sums k_i, so its eigenvalues lie in [-k_i, k_i]
+        roots = _int_roots(_charpoly(Bts[0]), self.valencies[1])
         spaces = []
         for lam in sorted(set(roots)):
             M = [[Bts[0][r][c] - (lam if r == c else 0) for c in range(d1)]
@@ -273,7 +298,7 @@ class SchemeAnalytics:
                 R.append([sum(sqinv[a][b] * rhs[b] for b in range(len(basis)))
                           for a in range(len(basis))])
             Rt = [[R[j][i] for j in range(len(basis))] for i in range(len(basis))]
-            for lam in sorted(set(_int_roots(_charpoly(Rt)))):
+            for lam in sorted(set(_int_roots(_charpoly(Rt), self.valencies[depth + 1]))):
                 M = [[Rt[r][c] - (lam if r == c else 0) for c in range(len(basis))]
                      for r in range(len(basis))]
                 subbasis = [
@@ -364,6 +389,34 @@ class SchemeAnalytics:
 
     def p_polynomial_orderings(self):
         return self._tridiagonal_orderings(self.d, lambda k, i, j: self.p[k][i][j])
+
+    # -- strongly regular fusion -------------------------------------------------
+
+    def srg_parameters(self, merged):
+        """`srg_check` of the union of the given classes, from the p-numbers.
+
+        A = sum_{m in M} A_m has A^2 = sum_{a,b in M} A_a A_b, so a pair in
+        class c has sum_{a,b in M} p^c_ab common neighbours.
+        """
+        merged = sorted(set(merged))
+        if not merged or merged[0] < 1 or merged[-1] > self.d:
+            raise ValueError(f"merged classes {merged} are not a nonempty subset of 1..{self.d}")
+        walks = [sum(self.p[c][a][b] for a in merged for b in merged)
+                 for c in range(self.d + 1)]
+        k = walks[0]
+        lams = {walks[c] for c in merged}
+        if len(lams) != 1:
+            return {"pass": False, "reason": "common-neighbor count varies on edges"}
+        lam = lams.pop()
+        mus = {walks[c] for c in range(1, self.d + 1) if c not in merged}
+        if not mus:
+            return {"pass": True, "degenerate": True, "v": self.n, "k": k,
+                    "lambda": lam, "mu": None,
+                    "reason": "complete graph; mu undefined"}
+        if len(mus) != 1:
+            return {"pass": False, "reason": "common-neighbor count varies on non-edges"}
+        return {"pass": True, "degenerate": False, "v": self.n, "k": k,
+                "lambda": lam, "mu": mus.pop()}
 
     # -- primitivity ----------------------------------------------------------
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hxpw import schemes
 from hxpw.certify import canonical_hash, canonical_json, certify
+from hxpw.schemes import RelationTable
 
 
 @pytest.fixture(scope="module")
@@ -11,8 +13,39 @@ def cert1():
 
 
 @pytest.fixture(scope="module")
-def cert2():
-    return certify(2)
+def cert2_run():
+    """certify(2), with the class count d of every verify_scheme call."""
+    calls = []
+    real = schemes.verify_scheme
+
+    def counting(table):
+        calls.append(table.d)
+        return real(table)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "verify_scheme", counting)
+        cert = certify(2)
+    return cert, calls
+
+
+@pytest.fixture(scope="module")
+def cert2(cert2_run):
+    return cert2_run[0]
+
+
+def test_h2_verifies_the_3_class_table_once(cert2_run):
+    cert, calls = cert2_run
+    assert cert["verdict"] == "pass"
+    assert calls.count(3) == 1
+    assert cert["blocks"]["scheme_pw"] == cert["blocks"]["scheme_hx"]
+
+
+def test_srg_block_matches_srg_check(cert2, cert_h3_cli, hx_bundle_2, hx_bundle_3):
+    for cert, bundle in ((cert2, hx_bundle_2), (cert_h3_cli["cert"], hx_bundle_3)):
+        block = cert["blocks"]["srg"]
+        oracle = schemes.srg_check(RelationTable(bundle["table"], d=3),
+                                   block["merged_classes"])
+        assert block["result"] == oracle
 
 
 def test_h1_passes_and_flags_degeneracy(cert1):

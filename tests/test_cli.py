@@ -134,3 +134,11 @@ def test_graph6_encoder_against_networkx_random():
         G = nx.from_numpy_array(A)
         assert graph6_bytes(A) == nx.to_graph6_bytes(G, nodes=range(n),
                                                      header=False)
+
+
+def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--h", "1", "--threads", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "--threads ignored: threadpoolctl is not installed\n"
+    assert json.loads(out.read_text())["verdict"] == "pass"

@@ -34,6 +34,29 @@ def _oracle_irreducible(p):
         _oracle_divides(f, p) for f in range(2, 1 << d) if f.bit_length() - 1 < d)
 
 
+def _oracle_divmod(p, m):
+    q = 0
+    dm = m.bit_length() - 1
+    while p and p.bit_length() - 1 >= dm:
+        shift = p.bit_length() - 1 - dm
+        q |= 1 << shift
+        p ^= m << shift
+    return q, p
+
+
+def _oracle_inverse(a, modulus):
+    """Inverse of a modulo the irreducible modulus by the extended Euclidean
+    algorithm on GF(2)[X]."""
+    # Invariant: ua * a == ra and ub * a == rb (mod modulus).
+    ra, rb = modulus, a
+    ua, ub = 0, 1
+    while rb != 1:
+        qt, rr = _oracle_divmod(ra, rb)
+        ra, rb = rb, rr
+        ua, ub = ub, ua ^ _oracle_divmod(_oracle_polymul(qt, ub), modulus)[1]
+    return ub
+
+
 def test_smallest_irreducible_degree4_oracle():
     # oracle: enumerate all degree-4 polynomials and take the first irreducible
     expected = next(p for p in range(1 << 4, 1 << 5) if _oracle_irreducible(p))
@@ -91,6 +114,18 @@ def test_mul_identity_and_inverse_law():
     for _ in range(500):
         x = rng.randrange(1, ctx.size)
         assert ctx.mul(x, ctx.inv(x)) == 1
+
+
+def test_inv_matches_extended_euclid():
+    for h in (1, 2):
+        ctx = tower(h)
+        for x in range(1, ctx.size):
+            assert ctx.inv(x) == _oracle_inverse(x, ctx.modulus)
+    ctx = tower(3)
+    rng = random.Random(12)
+    for _ in range(10_000):
+        x = rng.randrange(1, ctx.size)
+        assert ctx.inv(x) == _oracle_inverse(x, ctx.modulus)
 
 
 def test_field_axioms_exhaustive_h1():

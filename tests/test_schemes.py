@@ -21,6 +21,21 @@ def analytics_3(hx_bundle_3):
     return verify_scheme(RelationTable(hx_bundle_3["table"], d=3))
 
 
+def _brute_force_p(table, d):
+    """p-numbers from all (d+1)(d+2)/2 products A_i A_j, 0 <= i <= j <= d,
+    each asserted constant on every class (float64, exact below 2^53)."""
+    A = [(table == k).astype(np.float64) for k in range(d + 1)]
+    p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            C = A[i] @ A[j]
+            for k in range(d + 1):
+                vals = np.unique(C[table == k])
+                assert vals.size == 1, (i, j, k)
+                p[k][i][j] = p[k][j][i] = int(vals[0])
+    return p
+
+
 # ---------------------------------------------------------------------------
 # axiom verification
 
@@ -46,6 +61,43 @@ def test_one_flip_fails_with_witness(hx_bundle_2):
         verify_scheme(RelationTable(bad, d=3))
     w = exc.value.witness
     assert {"i", "j", "k", "base_pair", "other_pair"} <= set(w)
+
+
+def test_p_numbers_match_all_products(hx_bundle_2, hx_bundle_3, analytics_2, analytics_3):
+    assert analytics_2.p == _brute_force_p(hx_bundle_2["table"], 3)
+    assert analytics_3.p == _brute_force_p(hx_bundle_3["table"], 3)
+    fine = hx_bundle_2["fine_table"]
+    assert verify_scheme(RelationTable(fine, d=7)).p == _brute_force_p(fine, 7)
+
+
+def test_fault_in_derived_class_fails_with_witness(hx_bundle_2):
+    # swap one pair of class d-1 with one of class d: class d is never a
+    # factor of a product, only derived from the others
+    bad = hx_bundle_2["fine_table"].copy()
+    d = 7
+    (x, y), (u, v) = (np.argwhere(np.triu(bad == k))[0] for k in (d - 1, d))
+    bad[x, y] = bad[y, x] = d
+    bad[u, v] = bad[v, u] = d - 1
+    with pytest.raises(SchemeAxiomError) as exc:
+        verify_scheme(RelationTable(bad, d=d))
+    w = exc.value.witness
+    assert set(w) == {"i", "j", "k", "base_pair", "count", "other_pair", "other_count"}
+    assert 1 <= w["i"] <= w["j"] < d
+
+    def walks(a, b):  # recount by hand: z with bad[a, z] = i and bad[z, b] = j
+        return int(np.count_nonzero((bad[a] == w["i"]) & (bad[:, b] == w["j"])))
+
+    assert bad[tuple(w["base_pair"])] == bad[tuple(w["other_pair"])] == w["k"]
+    assert walks(*w["base_pair"]) == w["count"]
+    assert walks(*w["other_pair"]) == w["other_count"] != w["count"]
+
+
+def test_float32_limit_refused():
+    class Huge:
+        n = schemes.FLOAT32_EXACT
+        d = 3
+    with pytest.raises(SchemeAxiomError, match="float32"):
+        verify_scheme(Huge())
 
 
 def test_degenerate_table_rejected():
@@ -172,14 +224,23 @@ def test_charpoly_helper_known_matrix():
     coeffs = schemes._charpoly(M)
     # x^2 - 4x + 3 = (x - 1)(x - 3)
     assert coeffs == [Fraction(3), Fraction(-4), Fraction(1)]
-    assert sorted(schemes._int_roots(coeffs)) == [1, 3]
+    assert sorted(schemes._int_roots(coeffs, 3)) == [1, 3]
 
 
 def test_non_integer_eigenvalue_aborts():
     coeffs = schemes._charpoly([[Fraction(0), Fraction(2)],
                                 [Fraction(1), Fraction(0)]])  # x^2 - 2
     with pytest.raises(SchemeAxiomError):
-        schemes._int_roots(coeffs)
+        schemes._int_roots(coeffs, 2)
+
+
+def test_root_search_bounded_by_spectral_radius():
+    # (x - 2)(x^2 - 10^12 - 1): the constant term is about 2 * 10^12, so
+    # trying every divisor up to it would not finish
+    m = 10 ** 12 + 1
+    coeffs = [Fraction(2 * m), Fraction(-m), Fraction(-2), Fraction(1)]
+    with pytest.raises(SchemeAxiomError, match="non-integer eigenvalue"):
+        schemes._int_roots(coeffs, bound=10)
 
 
 def test_fine_scheme_eigen_data_not_integral(hx_bundle_2):
@@ -269,6 +330,14 @@ def test_srg_parameters(hx_bundle_2, hx_bundle_3):
         res = srg_check(rt, {1, 2})
         assert res["pass"] and not res["degenerate"]
         assert (res["v"], res["k"], res["lambda"], res["mu"]) == expected
+
+
+def test_srg_parameters_match_srg_check(analytics_2):
+    xor = np.array([[i ^ j for j in range(4)] for i in range(4)], dtype=np.int8)
+    for an in (analytics_2, verify_scheme(RelationTable(xor, d=3))):
+        for r in (1, 2, 3):
+            for merged in itertools.combinations(range(1, 4), r):
+                assert an.srg_parameters(merged) == srg_check(an.table, merged), merged
 
 
 def test_srg_against_direct_neighbor_count(hx_bundle_2):
