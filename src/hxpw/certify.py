@@ -14,6 +14,10 @@ fused class-{1,2} graphs to be equal as labeled graphs, so the associated
 strongly regular graphs are isomorphic as a byproduct; the certificate
 records this as a remark.
 
+Both algebraic routes and all three identities are swept over every pair
+at every h; above TABLE_MAX_H no table is built, so the blocks that read
+tables are skipped, but `routes` and `identities` keep one layout.
+
 Certificates are deterministic functions of (h, depth, seed): two runs
 produce byte-identical canonical JSON, and `canonical_hash` excludes only
 the wall-clock `timings` block.
@@ -35,6 +39,8 @@ from .hemisystem import StructureError
 from .schemes import RelationTable, SchemeAxiomError, frac_str
 
 VERSION = "0.1.0"
+# Largest h whose n x n tables are built; above it only sampled depth runs.
+TABLE_MAX_H = 3
 GEOMETRIC_SAMPLE_FLOOR = 10_000
 ANCHOR_COUNT = 10
 
@@ -56,23 +62,21 @@ def _frac_matrix(M):
     return [[frac_str(x) for x in row] for row in M]
 
 
-def certify(h: int, depth: str = "full", seed=None,
-            geometric_samples: int = GEOMETRIC_SAMPLE_FLOOR,
-            anchor_count: int = ANCHOR_COUNT) -> dict:
+def certify(h: int, depth: str = "full", seed=None) -> dict:
     """Run the full pipeline and return the certificate dict."""
     if depth not in ("full", "sampled"):
         raise ValueError(f"unknown depth {depth!r}")
     if depth == "sampled" and seed is None:
         raise ValueError("sampled depth requires an explicit seed")
-    if h >= 4 and depth != "sampled":
-        raise ValueError("h >= 4 requires depth=sampled")
+    if h > TABLE_MAX_H and depth != "sampled":
+        raise ValueError(f"h > {TABLE_MAX_H} requires depth=sampled")
 
     t_start = time.time()
     timings = {}
     ctx = tower(h)
     n = len(pair_reps(ctx))
     cert = {
-        "format": "hxpw-certificate/1",
+        "format": "hxpw-certificate/2",
         "header": {
             "version": VERSION, "h": h, "q": ctx.q, "n": n,
             "modulus_hex": hex(ctx.modulus), "omega": ctx.omega,
@@ -99,93 +103,77 @@ def certify(h: int, depth: str = "full", seed=None,
         cert["canonical_sha256"] = canonical_hash(cert)
         return cert
 
-    if h >= 4:
-        _certify_large(ctx, cert, blocks, failures, timings,
-                       0 if seed is None else seed)
-        return finish()
-
-    # -- both tables ---------------------------------------------------------
+    # -- both algebraic routes and the identity sweeps over every pair ---------
     t0 = time.time()
     try:
-        hx = conic.table_bundle(ctx)
-    except ClassificationError as exc:
-        failures.append({"block": "conic_table", "error": str(exc)})
+        if h > TABLE_MAX_H:
+            routes, identities = _route_blocks(ctx, _classified_chunks(ctx))
+            timings["large_sweep_s"] = round(time.time() - t0, 3)
+        else:
+            hx = conic.table_bundle(ctx)
+            timings["conic_table_s"] = round(time.time() - t0, 3)
+            t0 = time.time()
+            pw = hemisystem.klein_table_bundle(ctx)
+            timings["klein_table_s"] = round(time.time() - t0, 3)
+            flags = (hx["closed_form_ok"], pw["factorization_ok"], pw["shift_ok"])
+            routes, identities = _route_blocks(ctx, (
+                (si, ti, hx["table"][si, ti], pw["table"][si, ti], *flags)
+                for si, ti in conic.pair_chunks(n)))
+    except (ClassificationError, StructureError) as exc:
+        block = "conic_table" if isinstance(exc, ClassificationError) else "klein_table"
+        failures.append({"block": block, "error": str(exc)})
         blocks["routes"] = {"pass": False, "error": str(exc)}
         return finish()
-    timings["conic_table_s"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    try:
-        pw = hemisystem.klein_table_bundle(ctx)
-    except StructureError as exc:
-        failures.append({"block": "klein_table", "error": str(exc)})
-        blocks["routes"] = {"pass": False, "error": str(exc)}
-        return finish()
-    timings["klein_table_s"] = round(time.time() - t0, 3)
-
-    # -- identity sweeps -------------------------------------------------------
-    pairs_total = n * (n - 1) // 2
-    blocks["identities"] = {
-        "pass": hx["closed_form_ok"] and pw["factorization_ok"] and pw["shift_ok"],
-        "pairs_swept": pairs_total,
-        "closed_form_ok": hx["closed_form_ok"],
-        "factorization_ok": pw["factorization_ok"],
-        "pairing_shift_ok": pw["shift_ok"],
-        "rho_one_occurrences": 0,
-    }
-    if not blocks["identities"]["pass"]:
+    blocks["identities"] = identities
+    blocks["routes"] = routes
+    if not identities["pass"]:
         failures.append({"block": "identities"})
-
-    # -- route agreement -------------------------------------------------------
-    t0 = time.time()
-    agree = np.array_equal(hx["table"], pw["table"])
-    confusion = [[0] * 3 for _ in range(3)]
-    iu, ju = np.triu_indices(n, 1)
-    ta, tb = hx["table"][iu, ju], pw["table"][iu, ju]
-    for a in range(1, 4):
-        for b in range(1, 4):
-            confusion[a - 1][b - 1] = int(np.count_nonzero((ta == a) & (tb == b)))
-    routes = {"pass": bool(agree), "pairs": pairs_total,
-              "hx_vs_klein_confusion": confusion,
-              "first_discrepancy": None, "geometric": None}
-    if not agree:
-        k = int(np.argmax(ta != tb))
-        i, j = int(iu[k]), int(ju[k])
-        reps = pair_reps(ctx)
-        s, t = reps[i], reps[j]
-        kc, b1, b2 = hemisystem.klein_class_scalar(ctx, s, t)
-        routes["first_discrepancy"] = {
-            "pair_indices": [i, j], "reps": [s, t],
-            "class_hx": int(hx["table"][i, j]), "class_klein": kc,
-            "rho": conic.rho(ctx, s, t), "nu": conic.nu(ctx, s, t),
-            "rho_hat": conic.rho_hat(ctx, s, t), "bt_w": b1, "bt_w_prime": b2,
-        }
+    if not routes["pass"]:
         failures.append({"block": "routes", **routes["first_discrepancy"]})
-        blocks["routes"] = routes
+        return finish()
+
+    # -- group action -----------------------------------------------------------
+    t0 = time.time()
+    if h <= 2:
+        orbit = hemisystem.verify_orbit(ctx)
+        blocks["orbit"] = orbit
+        if not orbit["pass"]:
+            failures.append({"block": "orbit"})
+    else:
+        blocks["orbit"] = {"skipped": "orbit closure enumerated only at h <= 2"}
+    equi = hemisystem.verify_equivariance(ctx, samples=100,
+                                          seed=0 if seed is None else seed)
+    blocks["equivariance"] = equi
+    if not equi["pass"]:
+        failures.append({"block": "equivariance"})
+    timings["action_s"] = round(time.time() - t0, 3)
+
+    if h > TABLE_MAX_H:
+        for name in ("hemisystem", "scheme_hx", "scheme_pw", "eigenmatrix",
+                     "krein", "srg", "fine", "line_census"):
+            blocks[name] = {"skipped": f"outside the certified envelope at h > {TABLE_MAX_H}"}
         return finish()
 
     # geometric route
+    t0 = time.time()
     try:
         lines = hemisystem.build_hemisystem(ctx)
         spreads = hemisystem.spread_map(ctx, lines)
         geo = _geometric_agreement(ctx, hx["table"], lines, spreads,
-                                   depth, 0 if seed is None else seed,
-                                   geometric_samples, anchor_count)
+                                   0 if seed is None else seed)
     except StructureError as exc:
         geo = {"pass": False, "error": str(exc)}
     routes["geometric"] = geo
     routes["pass"] = routes["pass"] and geo["pass"]
-    blocks["routes"] = routes
     timings["routes_s"] = round(time.time() - t0, 3)
     if not routes["pass"]:
         failures.append({"block": "routes", "geometric": geo})
         return finish()
 
     # -- class counts ----------------------------------------------------------
-    counts = {}
-    for name, tbl in (("hx", hx["table"]), ("pw", pw["table"])):
-        cc = {str(k): int(np.count_nonzero(tbl[iu, ju] == k)) for k in (1, 2, 3)}
-        counts[name] = cc
+    confusion = routes["hx_vs_klein_confusion"]
+    counts = {"hx": {str(a + 1): sum(confusion[a]) for a in range(3)},
+              "pw": {str(b + 1): sum(row[b] for row in confusion) for b in range(3)}}
     valencies = [int(np.count_nonzero(hx["table"][0] == k)) for k in (1, 2, 3)]
     count_ok = all(n * kv == 2 * counts["hx"][str(kk)]
                    for kk, kv in zip((1, 2, 3), valencies) if kv)
@@ -248,27 +236,10 @@ def certify(h: int, depth: str = "full", seed=None,
     blocks["fine"] = _fine_block(ctx, hx, failures)
     timings["fine_s"] = round(time.time() - t0, 3)
 
-    # -- group action -----------------------------------------------------------------
-    t0 = time.time()
-    if h <= 2:
-        orbit = hemisystem.verify_orbit(ctx)
-        blocks["orbit"] = orbit
-        if not orbit["pass"]:
-            failures.append({"block": "orbit"})
-    else:
-        blocks["orbit"] = {"skipped": "orbit closure enumerated only at h <= 2"}
-    equi = hemisystem.verify_equivariance(ctx, samples=100,
-                                          seed=0 if seed is None else seed)
-    blocks["equivariance"] = equi
-    if not equi["pass"]:
-        failures.append({"block": "equivariance"})
-    timings["action_s"] = round(time.time() - t0, 3)
-
     return finish()
 
 
-def _geometric_agreement(ctx, table, lines, spreads, depth, seed,
-                         geometric_samples, anchor_count):
+def _geometric_agreement(ctx, table, lines, spreads, seed):
     """Compare the spread-counting route against the table."""
     n = len(lines)
     if ctx.h <= 2:
@@ -283,10 +254,10 @@ def _geometric_agreement(ctx, table, lines, spreads, depth, seed,
     checked = 0
     agree = 0
     first_bad = None
-    anchors = list(range(min(anchor_count, n)))
+    anchors = list(range(min(ANCHOR_COUNT, n)))
     pairs = [(a, j) for a in anchors for j in range(n)
              if j != a and (j not in anchors or a < j)]
-    for _ in range(geometric_samples):
+    for _ in range(GEOMETRIC_SAMPLE_FLOOR):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i != j:
@@ -439,56 +410,49 @@ def _fine_block(ctx, hx, failures):
     return out
 
 
-def _certify_large(ctx, cert, blocks, failures, timings, seed):
-    """h >= 4: chunked route agreement and identity sweeps only."""
-    t0 = time.time()
-    n = len(pair_reps(ctx))
+def _classified_chunks(ctx):
+    """Row blocks classified by both routes, for _route_blocks; no table is built."""
     A = hemisystem.klein_arrays(ctx)
-    chunk_rows = max(1, (1 << 22) // n)
-    agree = 0
-    checked = 0
-    identities_ok = True
-    first_bad = None
-    for r0 in range(0, n, chunk_rows):
-        r1 = min(n, r0 + chunk_rows)
-        si = np.repeat(np.arange(r0, r1), n)
-        ti = np.tile(np.arange(n), r1 - r0)
-        keep = si < ti
-        si, ti = si[keep], ti[keep]
-        if si.size == 0:
-            continue
-        r = conic.rho_of_pairs(ctx, si, ti)
-        rinv = ctx.inv_arr(r)
-        d = r ^ rinv
-        if np.any(d == 0):
-            raise ClassificationError("rho = 1 in large sweep")
-        rhat = ctx.inv_arr(d)
-        nu = ctx.inv_arr(r ^ 1)
-        identities_ok &= bool(np.array_equal(ctx.mul_arr(nu, nu) ^ nu, rhat))
-        cls_hx = conic.trace_sets(ctx)["cls"][rhat]
-        b1, b2 = hemisystem._bt_arrays(ctx, A, si, ti)
-        cls_kl = np.where(b1 == 0, 1, np.where(b2 == 0, 2, 3))
-        eq = cls_hx == cls_kl
-        agree += int(np.count_nonzero(eq))
-        checked += int(eq.size)
-        if first_bad is None and not np.all(eq):
-            k = int(np.argmax(~eq))
-            first_bad = {"pair_indices": [int(si[k]), int(ti[k])],
-                         "class_hx": int(cls_hx[k]), "class_klein": int(cls_kl[k])}
-    blocks["routes"] = {"pass": first_bad is None, "pairs": checked,
-                        "mode": "chunked-exhaustive",
-                        "first_discrepancy": first_bad, "geometric": None}
-    blocks["identities"] = {"pass": identities_ok, "pairs_swept": checked,
-                            "closed_form_ok": identities_ok}
-    if first_bad:
-        failures.append({"block": "routes", **first_bad})
-    if not identities_ok:
-        failures.append({"block": "identities"})
-    for name in ("hemisystem", "scheme_hx", "scheme_pw", "eigenmatrix",
-                 "krein", "srg", "fine", "orbit", "line_census"):
-        blocks[name] = {"skipped": "outside the certified envelope at h >= 4"}
-    equi = hemisystem.verify_equivariance(ctx, samples=100, seed=seed)
-    blocks["equivariance"] = equi
-    if not equi["pass"]:
-        failures.append({"block": "equivariance"})
-    timings["large_sweep_s"] = round(time.time() - t0, 3)
+    for si, ti in conic.pair_chunks(len(pair_reps(ctx))):
+        cls_hx, _, closed = conic.classify_pairs(ctx, si, ti)
+        cls_kl, fact, shift = hemisystem.klein_classify_pairs(ctx, A, si, ti)
+        yield si, ti, cls_hx, cls_kl, closed, fact, shift
+
+
+def _route_blocks(ctx, chunks):
+    """The `routes` and `identities` blocks from one pass over every pair.
+
+    `chunks` yields (si, ti, class_hx, class_klein, closed_form_ok,
+    factorization_ok, pairing_shift_ok) per block of pairs i < j, in row
+    order, so the first discrepancy is the same whichever sweep feeds it.
+    """
+    confusion = np.zeros(9, dtype=np.int64)
+    pairs = 0
+    ok = [True, True, True]
+    first = None
+    for si, ti, a, b, *flags in chunks:
+        pairs += int(si.size)
+        confusion += np.bincount(3 * a.astype(np.intp) + b - 4, minlength=9)
+        ok = [x and y for x, y in zip(ok, flags)]
+        if first is None and not np.array_equal(a, b):
+            k = int(np.argmax(a != b))
+            first = _discrepancy(ctx, int(si[k]), int(ti[k]), int(a[k]), int(b[k]))
+    closed, fact, shift = ok
+    identities = {"pass": closed and fact and shift, "pairs_swept": pairs,
+                  "closed_form_ok": closed, "factorization_ok": fact,
+                  "pairing_shift_ok": shift, "rho_one_occurrences": 0}
+    routes = {"pass": first is None, "pairs": pairs,
+              "hx_vs_klein_confusion": confusion.reshape(3, 3).tolist(),
+              "first_discrepancy": first, "geometric": None}
+    return routes, identities
+
+
+def _discrepancy(ctx, i, j, class_hx, class_klein):
+    """Witness for a pair the routes classify differently, recomputed in scalar."""
+    reps = pair_reps(ctx)
+    s, t = reps[i], reps[j]
+    _, b1, b2 = hemisystem.klein_class_scalar(ctx, s, t)
+    return {"pair_indices": [i, j], "reps": [s, t],
+            "class_hx": class_hx, "class_klein": class_klein,
+            "rho": conic.rho(ctx, s, t), "nu": conic.nu(ctx, s, t),
+            "rho_hat": conic.rho_hat(ctx, s, t), "bt_w": b1, "bt_w_prime": b2}

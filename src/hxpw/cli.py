@@ -116,8 +116,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    with _threads_context(args.threads):
-        cert = run_certify(args.h, depth=args.depth, seed=args.seed)
+    cert = run_certify(args.h, depth=args.depth, seed=args.seed)
     data = (json.dumps(cert, sort_keys=True, indent=1) + "\n").encode()
     _write_out(args.out, data)
     if cert["verdict"] != "pass":
@@ -138,10 +137,9 @@ def cmd_export(args) -> int:
         _write_out(args.out, graph6_bytes(adj))
         return 0
     if args.format in ("csv", "json"):
-        with _threads_context(args.threads):
-            an = schemes.verify_scheme(schemes.RelationTable(table, d=header["class_count"]))
-            P, Q, mult = an.eigenmatrix()
-            kr = an.krein()
+        an = schemes.verify_scheme(schemes.RelationTable(table, d=header["class_count"]))
+        P, Q, mult = an.eigenmatrix()
+        kr = an.krein()
         d1 = an.d + 1
         fs = schemes.frac_str
         if args.format == "json":
@@ -239,12 +237,13 @@ def main(argv=None) -> int:
         print("table materialization is supported for h <= 3", file=sys.stderr)
         return 2
     try:
-        if args.command == "build":
-            return cmd_build(args)
-        if args.command == "certify":
-            return cmd_certify(args)
-        if args.command == "export":
-            return cmd_export(args)
+        with _threads_context(args.threads):
+            if args.command == "build":
+                return cmd_build(args)
+            if args.command == "certify":
+                return cmd_certify(args)
+            if args.command == "export":
+                return cmd_export(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, schemes.SchemeAxiomError) as exc:

@@ -18,6 +18,10 @@ rho = 1 is algebraically impossible for distinct pairs (rho + 1 is a ratio
 of nonzero products), but since the class dictionary would degenerate
 there, any occurrence is reported as a hard failure, never guessed around.
 
+`classify_pairs` is the one bulk evaluation of that chain, on a row block
+of `pair_chunks`; `table_bundle` scatters the blocks into n x n tables and
+`certify` reduces them without tables where those are too large.
+
 Every pair can also be realized as a line of PG(2, q^2) missing the fixed
 conic {(1, c, c^2)} u {(0, 0, 1)}: the unique GF(q^2)-rational line whose
 quadratic extension cuts the extended conic exactly in the pair's two
@@ -33,6 +37,10 @@ import numpy as np
 
 from . import geometry
 from .fields import FieldTower
+
+
+# Candidate pairs per pair_chunks block; bounds a sweep's working set.
+PAIR_CHUNK = 1 << 20
 
 
 class ClassificationError(RuntimeError):
@@ -130,6 +138,18 @@ def _pair_arrays(ctx, reps=None):
     return reps, conj
 
 
+def pair_chunks(n):
+    """(si, ti) index arrays of the pairs i < j of range(n), in row order.
+
+    Each block covers whole rows, at most PAIR_CHUNK candidates (or one row).
+    """
+    rows = max(1, PAIR_CHUNK // n)
+    for r0 in range(0, n - 1, rows):
+        block = np.triu(np.ones((min(rows, n - r0), n), dtype=bool), r0 + 1)
+        si, ti = np.nonzero(block)
+        yield si + r0, ti
+
+
 def rho_of_pairs(ctx, si, ti):
     """Vectorized rho over index arrays into the representative list."""
     reps, conj = _pair_arrays(ctx)
@@ -141,52 +161,55 @@ def rho_of_pairs(ctx, si, ti):
     return ctx.div_arr(num, den)
 
 
-def table_bundle(ctx):
-    """Full n x n class table plus the raw invariant sweep data.
+def classify_pairs(ctx, si, ti):
+    """(class 1..3, fine key min(rho, rho^(-1)), closed_form_ok) of the
+    pairs (si[k], ti[k]); closed_form_ok says rhat == nu^2 + nu held on all.
 
-    Returns a dict with:
-      table       n x n int8 class matrix (0 on the diagonal)
-      rho, rhat   condensed upper-triangle value arrays
-      closed_form_ok   whether rhat == nu^2 + nu held on every pair
-      fine_labels      condensed array of fine class indices 1..q^2/2 - 1
-      fine_table       n x n int8 fine class matrix
-      fine_to_coarse   dict fine index -> coarse class
+    Raises ClassificationError on rho = 1 or on a rhat outside every class.
     """
-    n = len(pair_reps(ctx))
-    iu, ju = np.triu_indices(n, 1)
-    r = rho_of_pairs(ctx, iu, ju)
+    r = rho_of_pairs(ctx, si, ti)
     rinv = ctx.inv_arr(r)
     d = r ^ rinv
     if np.any(d == 0):
-        raise ClassificationError("rho = 1 occurred in bulk sweep")
+        k = int(np.argmax(d == 0))
+        raise ClassificationError(f"rho = 1 at pair indices ({int(si[k])}, {int(ti[k])})")
     rhat = ctx.inv_arr(d)
     nu_arr = ctx.inv_arr(r ^ 1)
-    closed = ctx.mul_arr(nu_arr, nu_arr) ^ nu_arr
-    closed_form_ok = bool(np.array_equal(closed, rhat))
-
+    closed_form_ok = bool(np.array_equal(ctx.mul_arr(nu_arr, nu_arr) ^ nu_arr, rhat))
     cls = trace_sets(ctx)["cls"][rhat]
     if np.any(cls == 0):
-        bad = int(np.argmax(cls == 0))
+        k = int(np.argmax(cls == 0))
         raise ClassificationError(
-            f"rhat value {int(rhat[bad])} outside every class at condensed index {bad}")
-    table = np.zeros((n, n), dtype=np.int8)
-    table[iu, ju] = cls
-    table[ju, iu] = cls
+            f"rhat value {int(rhat[k])} outside every class at pair indices "
+            f"({int(si[k])}, {int(ti[k])})")
+    return cls, np.minimum(r, rinv), closed_form_ok
 
-    lo = np.minimum(r, rinv)
-    labels, fine_idx = np.unique(lo, return_inverse=True)
-    fine_idx = (fine_idx + 1).astype(np.int16)
-    fine_table = np.zeros((n, n), dtype=np.int16)
-    fine_table[iu, ju] = fine_idx
-    fine_table[ju, iu] = fine_idx
-    cls_of = trace_sets(ctx)["cls"]
-    fine_to_coarse = {}
-    for k, lam in enumerate(labels, start=1):
-        dd = int(lam) ^ int(ctx.inv(int(lam)))
-        fine_to_coarse[k] = int(cls_of[ctx.inv(dd)]) if dd else 0
-    return {"table": table, "rho": r, "rhat": rhat, "nu": nu_arr,
-            "closed_form_ok": closed_form_ok, "fine_labels": fine_idx,
-            "fine_table": fine_table, "fine_to_coarse": fine_to_coarse}
+
+def table_bundle(ctx):
+    """The n x n class tables from one chunked sweep of classify_pairs.
+
+    Returns a dict with the int8 class `table`, the int16 `fine_table`
+    (fine class k is the k-th smallest fine key that occurs),
+    `fine_to_coarse` (fine class -> coarse class) and `closed_form_ok`.
+    """
+    n = len(pair_reps(ctx))
+    table = np.zeros((n, n), dtype=np.int8)
+    keys = np.zeros((n, n), dtype=np.min_scalar_type(ctx.size - 1))
+    coarse_of_key = np.zeros(ctx.size, dtype=np.int8)  # 0: key absent
+    closed_form_ok = True
+    for si, ti in pair_chunks(n):
+        cls, key, closed = classify_pairs(ctx, si, ti)
+        table[si, ti] = table[ti, si] = cls
+        keys[si, ti] = keys[ti, si] = key
+        coarse_of_key[key] = cls
+        closed_form_ok = closed_form_ok and closed
+    labels = np.flatnonzero(coarse_of_key)
+    lut = np.zeros(ctx.size, dtype=np.int16)
+    lut[labels] = np.arange(1, labels.size + 1)
+    return {"table": table, "fine_table": lut[keys],
+            "fine_to_coarse": {k: int(coarse_of_key[lam])
+                               for k, lam in enumerate(labels, start=1)},
+            "closed_form_ok": closed_form_ok}
 
 
 # ---------------------------------------------------------------------------

@@ -107,17 +107,6 @@ def line_points(ctx, line):
     return pts
 
 
-def lines_meet(ctx, la, lb):
-    """Number of common points of two distinct canonical lines (0 or 1)."""
-    rows, _ = rref_rows(ctx, list(la) + list(lb))
-    rank = len(rows)
-    if rank == 3:
-        return 1
-    if rank == 4:
-        return 0
-    raise ValueError("lines are equal")
-
-
 def projective_points(ctx, width):
     """All canonical points of PG(width-1, q^2), lead-1 enumeration order."""
     F = ctx.subfield(2 * ctx.h)

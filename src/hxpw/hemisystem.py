@@ -20,7 +20,8 @@ The scheme on the lines has three faces, all computed here:
 
 The radical identity qt(v) = bt(w_s, w_t) * bt(w_s, w'_t), with v the
 radical of the plane spanned by w_s, w0, w_t, ties the first two faces
-together and is swept exactly over all pairs.
+together and is swept exactly over all pairs, in `klein_classify_pairs`,
+the one bulk evaluation of the Klein route.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .conic import pair_reps
+from .conic import pair_chunks, pair_reps
 
 INF = "inf"  # projective-line point at infinity
 
@@ -264,39 +265,48 @@ def klein_class_scalar(ctx, s, t):
     return (1 if b1 == 0 else 2 if b2 == 0 else 3), b1, b2
 
 
-def klein_table_bundle(ctx):
-    """Full n x n Klein-route table plus the radical-identity sweep.
+def klein_classify_pairs(ctx, A, si, ti):
+    """(Klein class, factorization_ok, shift_ok) of the pairs (si[k], ti[k]).
 
-    Returns dict with: table, b1, b2 (condensed arrays), factorization_ok
-    (qt of the plane radical equals b1*b2 on every pair), shift_ok
-    (b2 = b1 + tr_s tr_t on every pair).
+    The flags say whether the radical identity and the shift
+    bt(w_s, w'_t) = bt(w_s, w_t) + tr_s tr_t held on every pair.
+    StructureError where both pairings vanish.
     """
-    A = klein_arrays(ctx)
-    n = A["x"].shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    b1, b2 = _bt_arrays(ctx, A, iu, ju)
-    if np.any((b1 == 0) & (b2 == 0)):
-        k = int(np.argmax((b1 == 0) & (b2 == 0)))
-        raise StructureError(f"both pairings vanish at condensed index {k}")
+    b1, b2 = _bt_arrays(ctx, A, si, ti)
+    both = (b1 == 0) & (b2 == 0)
+    if np.any(both):
+        k = int(np.argmax(both))
+        raise StructureError(
+            f"both pairings vanish at pair indices ({int(si[k])}, {int(ti[k])})")
     cls = np.where(b1 == 0, 1, np.where(b2 == 0, 2, 3)).astype(np.int8)
-    table = np.zeros((n, n), dtype=np.int8)
-    table[iu, ju] = cls
-    table[ju, iu] = cls
 
     m = ctx.mul_arr
-    trs, trt = A["tr"][iu], A["tr"][ju]
+    trs, trt = A["tr"][si], A["tr"][ti]
     shift_ok = bool(np.array_equal(b2, b1 ^ m(trs, trt)))
     # radical vector of the plane <w_s, w0, w_t>: tr_t w_s + b1 w0 + tr_s w_t
-    vx = m(trt, A["x"][iu]) ^ m(trs, A["x"][ju])
-    vxq = m(trt, A["xq"][iu]) ^ m(trs, A["xq"][ju])
-    vy = m(trt, A["y"][iu]) ^ b1 ^ m(trs, A["y"][ju])
-    vyq = m(trt, A["yq"][iu]) ^ b1 ^ m(trs, A["yq"][ju])
-    vz = m(trt, A["z"][iu]) ^ m(trs, A["z"][ju])
-    vzq = m(trt, A["zq"][iu]) ^ m(trs, A["zq"][ju])
+    vx = m(trt, A["x"][si]) ^ m(trs, A["x"][ti])
+    vxq = m(trt, A["xq"][si]) ^ m(trs, A["xq"][ti])
+    vy = m(trt, A["y"][si]) ^ b1 ^ m(trs, A["y"][ti])
+    vyq = m(trt, A["yq"][si]) ^ b1 ^ m(trs, A["yq"][ti])
+    vz = m(trt, A["z"][si]) ^ m(trs, A["z"][ti])
+    vzq = m(trt, A["zq"][si]) ^ m(trs, A["zq"][ti])
     qt_rad = m(vx, vzq) ^ m(vxq, vz) ^ m(vy, vyq)
     factorization_ok = bool(np.array_equal(qt_rad, m(b1, b2)))
-    return {"table": table, "b1": b1, "b2": b2,
-            "factorization_ok": factorization_ok, "shift_ok": shift_ok}
+    return cls, factorization_ok, shift_ok
+
+
+def klein_table_bundle(ctx):
+    """Dict of the n x n Klein-route `table`, `factorization_ok`, `shift_ok`."""
+    A = klein_arrays(ctx)
+    n = A["x"].shape[0]
+    table = np.zeros((n, n), dtype=np.int8)
+    factorization_ok = shift_ok = True
+    for si, ti in pair_chunks(n):
+        cls, fact, shift = klein_classify_pairs(ctx, A, si, ti)
+        table[si, ti] = table[ti, si] = cls
+        factorization_ok = factorization_ok and fact
+        shift_ok = shift_ok and shift
+    return {"table": table, "factorization_ok": factorization_ok, "shift_ok": shift_ok}
 
 
 # ---------------------------------------------------------------------------

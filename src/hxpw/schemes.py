@@ -421,12 +421,7 @@ class SchemeAnalytics:
     # -- primitivity ----------------------------------------------------------
 
     def primitivity(self):
-        c = self.table.classes
-        report = {}
-        for k in range(1, self.d + 1):
-            report[f"class_{k}_connected"] = _connected(c == k)
-        report["pass"] = all(report.values())
-        return report
+        return primitivity(self.table)
 
 
 def _connected(adj):

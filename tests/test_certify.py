@@ -1,10 +1,18 @@
+import importlib
 import json
 
+import numpy as np
 import pytest
 
-from hxpw import schemes
+from hxpw import conic, hemisystem, schemes
 from hxpw.certify import canonical_hash, canonical_json, certify
+from hxpw.cli import main
+from hxpw.conic import pair_reps
+from hxpw.fields import tower
 from hxpw.schemes import RelationTable
+
+# the package re-exports the function `certify` under the submodule's name
+certify_mod = importlib.import_module("hxpw.certify")
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +124,94 @@ def test_header_fields(cert2):
     assert h["modulus_hex"] == "0x11b"
     assert h["depth"] == "full"
     assert cert2["canonical_sha256"] == canonical_hash(cert2)
+
+
+def test_golden_hashes(cert1, cert2):
+    # a change to the hashed content must come with a bump of `format`
+    assert cert1["format"] == cert2["format"] == "hxpw-certificate/2"
+    assert cert1["canonical_sha256"] == "3780b7b7913ed51de4d7e7e45f5f7c452896cb23f5fca5da9941afdf08d1760c"
+    assert cert2["canonical_sha256"] == "683a07a852e8cd37f3c2b40a0a75a37217547dcdc6ea3678a70f1ff9a8b8415c"
+
+
+# ---------------------------------------------------------------------------
+# the table-free sweep that runs above TABLE_MAX_H
+
+def test_sweep_blocks_match_table_path(cert2, cert_h3_cli):
+    for h, cert in ((2, cert2), (3, cert_h3_cli["cert"])):
+        ctx = tower(h)
+        routes, identities = certify_mod._route_blocks(
+            ctx, certify_mod._classified_chunks(ctx))
+        assert identities == cert["blocks"]["identities"]
+        assert routes == {**cert["blocks"]["routes"], "geometric": None}
+
+
+def _both_paths(monkeypatch, tmp_path, h):
+    """CLI certificates of h through the table path, then through the sweep.
+
+    Returns [(exit code, certificate)] for each path.
+    """
+    runs = []
+    for max_h, argv in ((certify_mod.TABLE_MAX_H, []),
+                        (h - 1, ["--depth", "sampled", "--seed", "0"])):
+        monkeypatch.setattr(certify_mod, "TABLE_MAX_H", max_h)
+        out = tmp_path / f"cert_{max_h}.json"
+        code = main(["certify", "--h", str(h), "--out", str(out), *argv])
+        runs.append((code, json.loads(out.read_text())))
+    return runs
+
+
+def _class_2_pair(ctx):
+    table = conic.table_bundle(ctx)["table"]
+    i = 5
+    return i, int(np.flatnonzero(table[i, i + 1:] == 2)[0]) + i + 1
+
+
+def test_misclassified_pair_fails_with_witness(monkeypatch, tmp_path, capsys):
+    ctx = tower(2)
+    i, j = _class_2_pair(ctx)
+    real = hemisystem._bt_arrays
+
+    def swapped(ctx, A, si, ti):
+        # exchanging the two pairings at (i, j) turns its class 2 into class 1
+        b1, b2 = real(ctx, A, si, ti)
+        hit = (si == i) & (ti == j)
+        return np.where(hit, b2, b1), np.where(hit, b1, b2)
+
+    monkeypatch.setattr(hemisystem, "_bt_arrays", swapped)
+    reps = pair_reps(ctx)
+    s, t = reps[i], reps[j]
+    for code, cert in _both_paths(monkeypatch, tmp_path, 2):
+        assert code == 1
+        assert cert["verdict"] == "fail"
+        routes = cert["blocks"]["routes"]
+        assert not routes["pass"]
+        wit = routes["first_discrepancy"]
+        assert wit["pair_indices"] == [i, j] and wit["reps"] == [s, t]
+        assert (wit["class_hx"], wit["class_klein"]) == (2, 1)
+        assert wit["rho"] == conic.rho(ctx, s, t)
+        assert wit["nu"] == conic.nu(ctx, s, t)
+        assert wit["rho_hat"] == conic.rho_hat(ctx, s, t)
+        # by hand: both values recompute the true class, 2, not the reported 1
+        assert hemisystem.klein_class_scalar(ctx, s, t) == (2, wit["bt_w"], wit["bt_w_prime"])
+        assert conic.trace_sets(ctx)["cls"][wit["rho_hat"]] == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_rho_one_fails_without_traceback(monkeypatch, tmp_path, capsys):
+    ctx = tower(2)
+    i, j = _class_2_pair(ctx)
+    real = conic.rho_of_pairs
+
+    def rho_one(ctx, si, ti):
+        r = real(ctx, si, ti)
+        r[(si == i) & (ti == j)] = 1
+        return r
+
+    monkeypatch.setattr(conic, "rho_of_pairs", rho_one)
+    for code, cert in _both_paths(monkeypatch, tmp_path, 2):
+        assert code == 1
+        assert cert["verdict"] == "fail"
+        assert cert["witness"]["block"] == "conic_table"
+        assert cert["blocks"]["routes"] == {
+            "pass": False, "error": f"rho = 1 at pair indices ({i}, {j})"}
+    assert "Traceback" not in capsys.readouterr().err

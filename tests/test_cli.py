@@ -142,3 +142,7 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     assert main(["certify", "--h", "1", "--threads", "1", "--out", str(out)]) == 0
     assert capsys.readouterr().err == "--threads ignored: threadpoolctl is not installed\n"
     assert json.loads(out.read_text())["verdict"] == "pass"
+    for argv in (["build", "--h", "1"], ["export", "--h", "1", "--format", "graph6",
+                                         "--classes", "2"]):
+        assert main([*argv, "--threads", "2", "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == "--threads ignored: threadpoolctl is not installed\n"

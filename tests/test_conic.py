@@ -139,6 +139,30 @@ def test_fine_labels_cover_all_unit_pairs():
     assert seen == expected
 
 
+def test_fine_table_matches_scalar_labels(ctx2, hx_bundle_2):
+    """Fine class k is the k-th smallest fine_label that occurs, on every pair."""
+    reps = pair_reps(ctx2)
+    labels = {(i, j): fine_label(ctx2, reps[i], reps[j])
+              for i, j in itertools.combinations(range(len(reps)), 2)}
+    rank = {lab: k for k, lab in enumerate(sorted(set(labels.values())), start=1)}
+    ft = hx_bundle_2["fine_table"]
+    assert not ft.diagonal().any()
+    for (i, j), lab in labels.items():
+        assert ft[i, j] == ft[j, i] == rank[lab]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 120])
+def test_pair_chunks_cover_every_pair_once_in_row_order(monkeypatch, n):
+    iu, ju = np.triu_indices(n, 1)
+    for chunk, rows in ((n - 1, 1), (2 * n + 1, 2)):
+        monkeypatch.setattr(conic, "PAIR_CHUNK", chunk)
+        blocks = list(conic.pair_chunks(n))
+        si = np.concatenate([b[0] for b in blocks] or [np.zeros(0, int)])
+        ti = np.concatenate([b[1] for b in blocks] or [np.zeros(0, int)])
+        assert np.array_equal(si, iu) and np.array_equal(ti, ju)
+        assert all(0 < np.unique(b[0]).size <= rows for b in blocks)
+
+
 def test_fine_refines_coarse(hx_bundle_2):
     ft = hx_bundle_2["fine_table"]
     ct = hx_bundle_2["table"]
