@@ -14,14 +14,14 @@ from .certify import canonical_hash, certify
 from .conic import pair_reps, rho, rho_hat, classify, trace_sets
 from .fields import FieldTower, tower
 from .hemisystem import build_hemisystem, verify_hemisystem, verify_orbit
-from .schemes import (RelationTable, SchemeAxiomError, diff_tables,
-                      expected_p_matrix, fuse, srg_check, verify_scheme)
+from .schemes import (RelationTable, SchemeAxiomError, expected_p_matrix, fuse,
+                      srg_check, verify_scheme)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FieldTower", "RelationTable", "SchemeAxiomError", "build_hemisystem",
-    "canonical_hash", "certify", "classify", "diff_tables",
+    "canonical_hash", "certify", "classify",
     "expected_p_matrix", "fuse", "pair_reps", "rho", "rho_hat", "srg_check",
     "tower", "trace_sets", "verify_hemisystem", "verify_orbit",
     "verify_scheme",

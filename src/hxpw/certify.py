@@ -14,13 +14,18 @@ fused class-{1,2} graphs to be equal as labeled graphs, so the associated
 strongly regular graphs are isomorphic as a byproduct; the certificate
 records this as a remark.
 
-Both algebraic routes and all three identities are swept over every pair
-at every h; above TABLE_MAX_H no table is built, so the blocks that read
-tables are skipped, but `routes` and `identities` keep one layout.
+The checks run as the ordered stages of `STAGES`, and one loop does the
+bookkeeping for all of them.  Every certificate holds the same sixteen
+blocks, each with a `pass` flag or `skipped` with a reason: a stage whose
+predicate on h gives a reason is skipped, an exception inside a stage
+fails that stage's blocks with the exception as the error, and once the
+`routes` block fails every later block is skipped.  Both algebraic routes
+and all three identities are swept over every pair at every h; above
+TABLE_MAX_H no table is built, so the blocks that read tables are skipped.
 
 Certificates are deterministic functions of (h, depth, seed): two runs
 produce byte-identical canonical JSON, and `canonical_hash` excludes only
-the wall-clock `timings` block.
+the per-stage wall-clock `timings` block.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import hashlib
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,6 +49,8 @@ VERSION = "0.1.0"
 TABLE_MAX_H = 3
 GEOMETRIC_SAMPLE_FLOOR = 10_000
 ANCHOR_COUNT = 10
+# The keys of a failed block that go into the certificate's witness.
+WITNESS_KEYS = ("error", "first_discrepancy", "geometric", "violation_count", "result")
 
 
 def canonical_json(cert: dict) -> str:
@@ -63,7 +71,7 @@ def _frac_matrix(M):
 
 
 def certify(h: int, depth: str = "full", seed=None) -> dict:
-    """Run the full pipeline and return the certificate dict."""
+    """Run every stage of `STAGES` and return the certificate dict."""
     if depth not in ("full", "sampled"):
         raise ValueError(f"unknown depth {depth!r}")
     if depth == "sampled" and seed is None:
@@ -71,172 +79,189 @@ def certify(h: int, depth: str = "full", seed=None) -> dict:
     if h > TABLE_MAX_H and depth != "sampled":
         raise ValueError(f"h > {TABLE_MAX_H} requires depth=sampled")
 
-    t_start = time.time()
-    timings = {}
+    t_start = time.perf_counter()
     ctx = tower(h)
-    n = len(pair_reps(ctx))
+    blocks, timings, witness = {}, {}, None
+    # what the stages share; the stages fill in the fields that start as None
+    st = SimpleNamespace(ctx=ctx, seed=0 if seed is None else seed, blocks=blocks,
+                         hx=None, lines=None, spreads=None, analytics=None,
+                         degenerate=False)
+    for name, names, skip, run in STAGES:
+        reason = "routes failed" if blocks.get("routes", {}).get("pass") is False else skip(h)
+        if reason:
+            # a block an earlier stage wrote (the geometric route's `routes`) stays
+            for block in names:
+                blocks.setdefault(block, {"skipped": reason})
+            continue
+        t0 = time.perf_counter()
+        try:
+            out = run(st)
+        except Exception as exc:  # a check that breaks is a failed block, not a crash
+            error = f"{type(exc).__name__}: {exc}"
+            out = {block: {"pass": False, "error": error} for block in names}
+        timings[f"{name}_s"] = round(time.perf_counter() - t0, 3)
+        stage_witness = out.pop("witness", None)
+        blocks.update(out)
+        failed = [block for block in names if blocks[block].get("pass") is False]
+        if failed and witness is None:
+            witness = stage_witness or {"block": failed[0], **{
+                k: v for k, v in blocks[failed[0]].items()
+                if k in WITNESS_KEYS and v is not None}}
     cert = {
-        "format": "hxpw-certificate/2",
+        "format": "hxpw-certificate/3",
         "header": {
-            "version": VERSION, "h": h, "q": ctx.q, "n": n,
+            "version": VERSION, "h": h, "q": ctx.q, "n": len(pair_reps(ctx)),
             "modulus_hex": hex(ctx.modulus), "omega": ctx.omega,
-            "depth": depth, "seed": seed,
-            "geometric_seed": 0 if seed is None else seed,
+            "depth": depth, "seed": seed, "geometric_seed": st.seed,
         },
-        "blocks": {},
-        "degenerate": False,
-        "verdict": "fail",
-        "witness": None,
+        "blocks": blocks,
+        "degenerate": st.degenerate,
+        "verdict": "fail" if any(b.get("pass") is False for b in blocks.values()) else "pass",
+        "witness": witness,
         "remark": ("equal relation tables make every fused class union equal "
                    "as a labeled graph, so the strongly regular graphs "
                    "obtained by merging classes 1 and 2 are isomorphic too"),
     }
-    blocks = cert["blocks"]
-    failures = []
+    timings["total_s"] = round(time.perf_counter() - t_start, 3)
+    cert["timings"] = timings
+    cert["canonical_sha256"] = canonical_hash(cert)
+    return cert
 
-    def finish():
-        cert["verdict"] = "pass" if not failures else "fail"
-        if failures and cert["witness"] is None:
-            cert["witness"] = failures[0]
-        timings["total_s"] = round(time.time() - t_start, 3)
-        cert["timings"] = timings
-        cert["canonical_sha256"] = canonical_hash(cert)
-        return cert
 
-    # -- both algebraic routes and the identity sweeps over every pair ---------
-    t0 = time.time()
-    try:
-        if h > TABLE_MAX_H:
-            routes, identities = _route_blocks(ctx, _classified_chunks(ctx))
-            timings["large_sweep_s"] = round(time.time() - t0, 3)
-        else:
-            hx = conic.table_bundle(ctx)
-            timings["conic_table_s"] = round(time.time() - t0, 3)
-            t0 = time.time()
-            pw = hemisystem.klein_table_bundle(ctx)
-            timings["klein_table_s"] = round(time.time() - t0, 3)
-            flags = (hx["closed_form_ok"], pw["factorization_ok"], pw["shift_ok"])
-            routes, identities = _route_blocks(ctx, (
-                (si, ti, hx["table"][si, ti], pw["table"][si, ti], *flags)
-                for si, ti in conic.pair_chunks(n)))
-    except (ClassificationError, StructureError) as exc:
-        block = "conic_table" if isinstance(exc, ClassificationError) else "klein_table"
-        failures.append({"block": block, "error": str(exc)})
-        blocks["routes"] = {"pass": False, "error": str(exc)}
-        return finish()
-    blocks["identities"] = identities
-    blocks["routes"] = routes
-    if not identities["pass"]:
-        failures.append({"block": "identities"})
-    if not routes["pass"]:
-        failures.append({"block": "routes", **routes["first_discrepancy"]})
-        return finish()
+# ---------------------------------------------------------------------------
+# the stages
 
-    # -- group action -----------------------------------------------------------
-    t0 = time.time()
-    if h <= 2:
-        orbit = hemisystem.verify_orbit(ctx)
-        blocks["orbit"] = orbit
-        if not orbit["pass"]:
-            failures.append({"block": "orbit"})
-    else:
-        blocks["orbit"] = {"skipped": "orbit closure enumerated only at h <= 2"}
-    equi = hemisystem.verify_equivariance(ctx, samples=100,
-                                          seed=0 if seed is None else seed)
-    blocks["equivariance"] = equi
-    if not equi["pass"]:
-        failures.append({"block": "equivariance"})
-    timings["action_s"] = round(time.time() - t0, 3)
+def _always(h):
+    return None
 
+
+def _tables(h):
     if h > TABLE_MAX_H:
-        for name in ("hemisystem", "scheme_hx", "scheme_pw", "eigenmatrix",
-                     "krein", "srg", "fine", "line_census"):
-            blocks[name] = {"skipped": f"outside the certified envelope at h > {TABLE_MAX_H}"}
-        return finish()
+        return f"outside the certified envelope at h > {TABLE_MAX_H}"
+    return None
 
-    # geometric route
-    t0 = time.time()
+
+def _small_q(h):
+    return _tables(h) or ("exhaustive geometry enumerated only at h <= 2" if h > 2 else None)
+
+
+def _orbit_skip(h):
+    return "orbit closure enumerated only at h <= 2" if h > 2 else None
+
+
+def _algebraic_routes(st):
+    """Both algebraic routes and the three identities over every pair.
+
+    Up to TABLE_MAX_H the sweep reads the two tables, which later stages
+    use; above it the pairs are classified block by block and no table is
+    built.
+    """
+    ctx = st.ctx
     try:
-        lines = hemisystem.build_hemisystem(ctx)
-        spreads = hemisystem.spread_map(ctx, lines)
-        geo = _geometric_agreement(ctx, hx["table"], lines, spreads,
-                                   0 if seed is None else seed)
-    except StructureError as exc:
-        geo = {"pass": False, "error": str(exc)}
-    routes["geometric"] = geo
-    routes["pass"] = routes["pass"] and geo["pass"]
-    timings["routes_s"] = round(time.time() - t0, 3)
-    if not routes["pass"]:
-        failures.append({"block": "routes", "geometric": geo})
-        return finish()
+        if ctx.h > TABLE_MAX_H:
+            chunks = _classified_chunks(ctx)
+        else:
+            hx = st.hx = conic.table_bundle(ctx)
+            pw = hemisystem.klein_table_bundle(ctx)
+            flags = (hx["closed_form_ok"], pw["factorization_ok"], pw["shift_ok"])
+            chunks = ((si, ti, hx["table"][si, ti], pw["table"][si, ti], *flags)
+                      for si, ti in conic.pair_chunks(len(hx["table"])))
+        routes, identities = _route_blocks(ctx, chunks)
+    except (ClassificationError, StructureError) as exc:
+        table = "conic_table" if isinstance(exc, ClassificationError) else "klein_table"
+        return {"identities": {"skipped": "routes failed"},
+                "routes": {"pass": False, "error": str(exc)},
+                "witness": {"block": table, "error": str(exc)}}
+    return {"identities": identities, "routes": routes}
 
-    # -- class counts ----------------------------------------------------------
-    confusion = routes["hx_vs_klein_confusion"]
+
+def _geometric_route(st):
+    """The spread-counting route, recorded inside the `routes` block."""
+    st.lines = hemisystem.build_hemisystem(st.ctx)
+    st.spreads = hemisystem.spread_map(st.ctx, st.lines)
+    geo = _geometric_agreement(st.ctx, st.hx["table"], st.lines, st.spreads, st.seed)
+    return {"routes": {**st.blocks["routes"], "pass": geo["pass"], "geometric": geo}}
+
+
+def _class_counts(st):
+    confusion = st.blocks["routes"]["hx_vs_klein_confusion"]
     counts = {"hx": {str(a + 1): sum(confusion[a]) for a in range(3)},
               "pw": {str(b + 1): sum(row[b] for row in confusion) for b in range(3)}}
-    valencies = [int(np.count_nonzero(hx["table"][0] == k)) for k in (1, 2, 3)]
+    n = len(st.hx["table"])
+    valencies = [int(np.count_nonzero(st.hx["table"][0] == k)) for k in (1, 2, 3)]
     count_ok = all(n * kv == 2 * counts["hx"][str(kk)]
                    for kk, kv in zip((1, 2, 3), valencies) if kv)
-    blocks["class_counts"] = {"pass": count_ok, "unordered_pairs": counts,
-                              "valencies_row0": valencies}
-    if not count_ok:
-        failures.append({"block": "class_counts"})
+    return {"class_counts": {"pass": count_ok, "unordered_pairs": counts,
+                             "valencies_row0": valencies}}
 
-    blocks["tables_equal"] = {"pass": True, "discrepancies": 0,
-                              "table_sha256": _sha(hx["table"])}
 
-    # -- hemisystem property ----------------------------------------------------
-    t0 = time.time()
-    hemi = hemisystem.verify_hemisystem(ctx, lines)
-    blocks["hemisystem"] = hemi
-    if not hemi["pass"]:
-        failures.append({"block": "hemisystem", **{k: hemi[k] for k in ("violation_count",)}})
-    timings["hemisystem_s"] = round(time.time() - t0, 3)
+def _tau_consistency(st):
+    """The tau-images of the lines subtend the same spreads and the same table."""
+    ctx, lines = st.ctx, st.lines
+    tau_lines = [hemisystem.HemiLine(
+        hl.rep, tl := hemisystem.tau_line(ctx, hl.line),
+        frozenset(geometry.line_points(ctx, tl)),
+        hl.w_prime, hl.w) for hl in lines]
+    tau_spreads = hemisystem.spread_map(ctx, tau_lines)
+    same_spreads = all(tau_spreads[hl.rep] == st.spreads[hl.rep] for hl in lines)
+    tau_table = hemisystem.geometric_table(ctx, tau_lines, tau_spreads)
+    tau_ok = same_spreads and np.array_equal(tau_table, st.hx["table"])
+    return {"tau_consistency": {"pass": tau_ok, "same_subtended_spreads": same_spreads}}
 
-    # -- small-q exhaustive geometry blocks --------------------------------------
-    if h <= 2:
-        t0 = time.time()
-        census = hemisystem.line_census(ctx)
-        blocks["line_census"] = census
-        if not census["pass"]:
-            failures.append({"block": "line_census"})
-        tau_lines = [hemisystem.HemiLine(
-            hl.rep, tl := hemisystem.tau_line(ctx, hl.line),
-            frozenset(geometry.line_points(ctx, tl)),
-            hl.w_prime, hl.w) for hl in lines]
-        tau_spreads = hemisystem.spread_map(ctx, tau_lines)
-        same_spreads = all(tau_spreads[hl.rep] == spreads[hl.rep] for hl in lines)
-        tau_table = hemisystem.geometric_table(ctx, tau_lines, tau_spreads)
-        tau_ok = same_spreads and np.array_equal(tau_table, hx["table"])
-        blocks["tau_consistency"] = {"pass": tau_ok,
-                                     "same_subtended_spreads": same_spreads}
-        if not tau_ok:
-            failures.append({"block": "tau_consistency"})
-        klein_ok = _klein_image_consistency(ctx, lines, spreads)
-        blocks["klein_images"] = klein_ok
-        if not klein_ok["pass"]:
-            failures.append({"block": "klein_images"})
-        timings["small_q_geometry_s"] = round(time.time() - t0, 3)
 
-    # -- scheme analytics ---------------------------------------------------------
-    t0 = time.time()
-    rt = RelationTable(hx["table"], d=3)
-    struct = rt.structure_report()
-    cert["degenerate"] = struct["degenerate"]
-    if struct["degenerate"]:
-        reason = f"empty classes {struct['empty_classes']} at q={ctx.q}"
-        for name in ("scheme_hx", "scheme_pw", "eigenmatrix", "krein", "srg"):
-            blocks[name] = {"skipped": reason}
-    else:
-        _analytics_blocks(ctx, hx, blocks, failures)
-    timings["analytics_s"] = round(time.time() - t0, 3)
+def _scheme(st):
+    """Scheme axioms of the hx table, which stand for both tables: the routes
+    block has shown the pw table equal to it, so `scheme_pw` repeats
+    `scheme_hx`."""
+    table = RelationTable(st.hx["table"], d=3)
+    struct = table.structure_report()
+    st.degenerate = struct["degenerate"]
+    if st.degenerate:
+        reason = f"empty classes {struct['empty_classes']} at q={st.ctx.q}"
+        return {name: {"skipped": reason} for name in ("scheme_hx", "scheme_pw")}
+    try:
+        st.analytics = schemes.verify_scheme(table)
+    except SchemeAxiomError as exc:
+        failed = {"pass": False, "error": str(exc), "witness": exc.witness}
+        return {"scheme_hx": failed, "scheme_pw": failed}
+    return {name: {"pass": True, "d": 3, "valencies": st.analytics.valencies}
+            for name in ("scheme_hx", "scheme_pw")}
 
-    # -- fine refinement ------------------------------------------------------------
-    t0 = time.time()
-    blocks["fine"] = _fine_block(ctx, hx, failures)
-    timings["fine_s"] = round(time.time() - t0, 3)
 
-    return finish()
+def _spectrum(st):
+    if st.analytics is None:  # the scheme blocks are skipped or failed
+        reason = st.blocks["scheme_hx"].get("skipped", "scheme axioms failed")
+        return {name: {"skipped": reason} for name in ("eigenmatrix", "krein", "srg")}
+    return _analytics_blocks(st.ctx.q, st.analytics)
+
+
+# (timing name, blocks written, skip predicate on h, run).  `skip` returns a
+# reason not to run, or None; `run(st)` returns {block: dict} for the blocks
+# it names, plus an optional "witness" that replaces the one drawn from its
+# first failed block.
+STAGES = (
+    ("routes", ("identities", "routes"), _always, _algebraic_routes),
+    ("orbit", ("orbit",), _orbit_skip,
+          lambda st: {"orbit": hemisystem.verify_orbit(st.ctx)}),
+    ("equivariance", ("equivariance",), _always,
+          lambda st: {"equivariance": hemisystem.verify_equivariance(
+              st.ctx, samples=100, seed=st.seed)}),
+    ("geometric", ("routes",), _tables, _geometric_route),
+    ("class_counts", ("class_counts",), _tables, _class_counts),
+    ("tables_equal", ("tables_equal",), _tables,
+          lambda st: {"tables_equal": {"pass": True, "discrepancies": 0,
+                                       "table_sha256": _sha(st.hx["table"])}}),
+    ("hemisystem", ("hemisystem",), _tables,
+          lambda st: {"hemisystem": hemisystem.verify_hemisystem(st.ctx, st.lines)}),
+    ("line_census", ("line_census",), _small_q,
+          lambda st: {"line_census": hemisystem.line_census(st.ctx)}),
+    ("tau_consistency", ("tau_consistency",), _small_q, _tau_consistency),
+    ("klein_images", ("klein_images",), _small_q,
+          lambda st: {"klein_images": _klein_image_consistency(st.ctx, st.lines, st.spreads)}),
+    ("scheme", ("scheme_hx", "scheme_pw"), _tables, _scheme),
+    ("spectrum", ("eigenmatrix", "krein", "srg"), _tables, _spectrum),
+    ("fine", ("fine",), _tables, lambda st: {"fine": _fine_block(st.ctx, st.hx)}),
+)
 
 
 def _geometric_agreement(ctx, table, lines, spreads, seed):
@@ -306,42 +331,33 @@ def _klein_image_consistency(ctx, lines, spreads):
             "nonsingular_images": singular_fail}
 
 
-def _analytics_blocks(ctx, hx, blocks, failures):
-    """Scheme analytics of both tables, computed once.
+def _analytics_blocks(q, an):
+    """The `eigenmatrix`, `krein` and `srg` blocks of the verified hx scheme.
 
-    The routes block has already shown the pw table equal to the hx table
-    (np.array_equal), so the hx analytics stand for both: `scheme_pw`
-    repeats `scheme_hx`, and the cross-table comparisons hold by equality.
+    The routes block has already shown the pw table equal to the hx table,
+    so the cross-table comparisons hold by equality.
     """
-    q = ctx.q
-    try:
-        an = schemes.verify_scheme(RelationTable(hx["table"], d=3))
-    except SchemeAxiomError as exc:
-        for name in ("scheme_hx", "scheme_pw"):
-            blocks[name] = {"pass": False, "error": str(exc), "witness": exc.witness}
-            failures.append({"block": name, "error": str(exc)})
-        return
-    for name in ("scheme_hx", "scheme_pw"):
-        blocks[name] = {"pass": True, "d": 3, "valencies": an.valencies}
-    try:
-        P, Q, mult = an.eigenmatrix()
-        expected = schemes.expected_p_matrix(q)
-        match = set(map(tuple, P)) == set(map(tuple, expected))
-        blocks["eigenmatrix"] = {
+    P, Q, mult = an.eigenmatrix()
+    match = set(map(tuple, P)) == set(map(tuple, schemes.expected_p_matrix(q)))
+    kr = an.krein()
+    qpoly = an.q_polynomial_orderings()
+    ppoly = an.p_polynomial_orderings()
+    prim = an.primitivity()
+    srg_expected = {"v": q * q * (q * q - 1) // 2, "k": (q * q + 1) * (q - 1),
+                    "lambda": q * q + q - 2, "mu": 2 * (q * q - q)}
+    merged = _srg_fusion_classes(an, srg_expected["k"])
+    res = an.srg_parameters(merged)
+    srg_ok = (res.get("pass") and not res.get("degenerate")
+              and all(res[k] == srg_expected[k] for k in srg_expected)
+              and merged == [1, 2])
+    return {
+        "eigenmatrix": {
             "pass": match, "P": _frac_matrix(P), "Q": _frac_matrix(Q),
             "multiplicities": mult, "matches_family_formula": match,
             "hx_equals_pw": True,
-        }
-        if not match:
-            failures.append({"block": "eigenmatrix"})
-
-        kr = an.krein()
-        qpoly = an.q_polynomial_orderings()
-        ppoly = an.p_polynomial_orderings()
-        prim = an.primitivity()
-        kr_ok = bool(qpoly) and not ppoly and prim["pass"]
-        blocks["krein"] = {
-            "pass": kr_ok,
+        },
+        "krein": {
+            "pass": bool(qpoly) and not ppoly and prim["pass"],
             "parameters": [[[frac_str(kr[k][i][j]) for j in range(4)]
                             for i in range(4)] for k in range(4)],
             "nonnegative": True,  # krein() raises otherwise
@@ -349,24 +365,10 @@ def _analytics_blocks(ctx, hx, blocks, failures):
             "p_polynomial_orderings": ppoly,
             "orderings_match_across_tables": True,
             "primitive": prim["pass"],
-        }
-        if not kr_ok:
-            failures.append({"block": "krein"})
-
-        srg_expected = {"v": q * q * (q * q - 1) // 2, "k": (q * q + 1) * (q - 1),
-                        "lambda": q * q + q - 2, "mu": 2 * (q * q - q)}
-        merged = _srg_fusion_classes(an, srg_expected["k"])
-        res = an.srg_parameters(merged)
-        srg_ok = (res.get("pass") and not res.get("degenerate")
-                  and all(res[k] == srg_expected[k] for k in srg_expected)
-                  and merged == [1, 2])
-        blocks["srg"] = {"pass": bool(srg_ok), "merged_classes": merged,
-                         "result": res, "expected": srg_expected}
-        if not srg_ok:
-            failures.append({"block": "srg", "result": res})
-    except SchemeAxiomError as exc:
-        blocks["eigenmatrix"] = {"pass": False, "error": str(exc)}
-        failures.append({"block": "eigenmatrix", "error": str(exc)})
+        },
+        "srg": {"pass": bool(srg_ok), "merged_classes": merged,
+                "result": res, "expected": srg_expected},
+    }
 
 
 def _srg_fusion_classes(analytics, target_k):
@@ -378,7 +380,7 @@ def _srg_fusion_classes(analytics, target_k):
     raise SchemeAxiomError(f"no 2-class fusion has degree {target_k}")
 
 
-def _fine_block(ctx, hx, failures):
+def _fine_block(ctx, hx):
     expected_classes = ctx.q2 // 2 - 1
     nlabels = len(hx["fine_to_coarse"])
     fine = RelationTable(hx["fine_table"], d=nlabels)
@@ -393,7 +395,7 @@ def _fine_block(ctx, hx, failures):
     fusion_matches = bool(np.array_equal(lut[fused.classes], hx["table"]))
     out = {"pass": nlabels == expected_classes and fusion_matches,
            "classes": nlabels, "expected_classes": expected_classes,
-           "fusion_matches": fusion_matches}
+           "fusion_matches": fusion_matches, "scheme_verified": "skipped"}
     if ctx.h == 2:
         try:
             an = schemes.verify_scheme(fine)
@@ -403,10 +405,6 @@ def _fine_block(ctx, hx, failures):
             out["scheme_verified"] = False
             out["pass"] = False
             out["error"] = str(exc)
-    else:
-        out["scheme_verified"] = "skipped" if ctx.h != 2 else True
-    if not out["pass"]:
-        failures.append({"block": "fine"})
     return out
 
 
@@ -440,7 +438,7 @@ def _route_blocks(ctx, chunks):
     closed, fact, shift = ok
     identities = {"pass": closed and fact and shift, "pairs_swept": pairs,
                   "closed_form_ok": closed, "factorization_ok": fact,
-                  "pairing_shift_ok": shift, "rho_one_occurrences": 0}
+                  "pairing_shift_ok": shift}
     routes = {"pass": first is None, "pairs": pairs,
               "hx_vs_klein_confusion": confusion.reshape(3, 3).tolist(),
               "first_discrepancy": first, "geometric": None}

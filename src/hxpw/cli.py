@@ -41,19 +41,12 @@ def graph6_bytes(adj) -> bytes:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError("graph6 supports at most 258047 vertices here")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if adj[i, j] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k:k + 6]:
-            v = (v << 1) | b
-        body.append(v + 63)
-    return head + bytes(body) + b"\n"
+    # the upper triangle in column order is the strict lower triangle of the
+    # transpose in row order
+    bits = adj.T[np.tri(n, k=-1, dtype=bool)]
+    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
+    body = bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63
+    return head + body.astype(np.uint8).tobytes() + b"\n"
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +201,14 @@ def _build_parser():
 
     c = sub.add_parser("certify", help="run the full certification pipeline")
     common(c)
-    c.add_argument("--depth", choices=("full", "sampled"), default="full")
+    c.add_argument("--depth", choices=("full", "sampled"), default="full",
+                   help="selects no check at h <= 3, where the geometric route is "
+                        "exhaustive at h <= 2 and spot-checked at h = 3 either way; "
+                        "h >= 4 requires sampled, which still sweeps every pair "
+                        "(only the 100 equivariance samples are sampled)")
     c.add_argument("--seed", type=int, default=None,
-                   help="sampling seed (required with --depth sampled)")
+                   help="seed of the equivariance samples and of the h = 3 "
+                        "geometric spot checks (required with --depth sampled)")
 
     e = sub.add_parser("export", help="export a class-union graph or analytics")
     common(e, family=True, fmt=("graph6", "csv", "json"), classes=True)

@@ -500,14 +500,6 @@ def srg_check(table: RelationTable, merged):
             "lambda": lam, "mu": mu}
 
 
-def diff_tables(ta: RelationTable, tb: RelationTable):
-    """All (i, j), i < j, where the class assignments differ."""
-    if ta.n != tb.n:
-        raise ValueError(f"size mismatch: {ta.n} vs {tb.n}")
-    xs, ys = np.nonzero(ta.classes != tb.classes)
-    return [(int(i), int(j)) for i, j in zip(xs, ys) if i < j]
-
-
 # ---------------------------------------------------------------------------
 # the family's known first eigenmatrix
 

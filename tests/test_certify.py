@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from hxpw import conic, hemisystem, schemes
+from hxpw import conic, geometry, hemisystem, schemes
 from hxpw.certify import canonical_hash, canonical_json, certify
 from hxpw.cli import main
 from hxpw.conic import pair_reps
 from hxpw.fields import tower
+from hxpw.hemisystem import StructureError
 from hxpw.schemes import RelationTable
 
 # the package re-exports the function `certify` under the submodule's name
@@ -128,9 +129,9 @@ def test_header_fields(cert2):
 
 def test_golden_hashes(cert1, cert2):
     # a change to the hashed content must come with a bump of `format`
-    assert cert1["format"] == cert2["format"] == "hxpw-certificate/2"
-    assert cert1["canonical_sha256"] == "3780b7b7913ed51de4d7e7e45f5f7c452896cb23f5fca5da9941afdf08d1760c"
-    assert cert2["canonical_sha256"] == "683a07a852e8cd37f3c2b40a0a75a37217547dcdc6ea3678a70f1ff9a8b8415c"
+    assert cert1["format"] == cert2["format"] == "hxpw-certificate/3"
+    assert cert1["canonical_sha256"] == "980b13e18288631d3e3fdd0b164164a7790783e61755b0dc48add8ce0581148a"
+    assert cert2["canonical_sha256"] == "a6c1b5d555dbb37a32cb5d854c4d14e3af64299971fba3e419325763cf481130"
 
 
 # ---------------------------------------------------------------------------
@@ -214,4 +215,83 @@ def test_rho_one_fails_without_traceback(monkeypatch, tmp_path, capsys):
         assert cert["witness"]["block"] == "conic_table"
         assert cert["blocks"]["routes"] == {
             "pass": False, "error": f"rho = 1 at pair indices ({i}, {j})"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the block runner
+
+BLOCKS = {"routes", "identities", "class_counts", "tables_equal", "hemisystem",
+          "line_census", "tau_consistency", "klein_images", "scheme_hx",
+          "scheme_pw", "eigenmatrix", "krein", "srg", "fine", "orbit",
+          "equivariance"}
+
+
+def _assert_layout(cert):
+    assert set(cert["blocks"]) == BLOCKS
+    for name, block in cert["blocks"].items():
+        assert ("pass" in block) != ("skipped" in block), name
+
+
+def test_every_certificate_has_every_block(cert1, cert2, cert_h3_cli, monkeypatch, tmp_path):
+    for cert in (cert1, cert2, cert_h3_cli["cert"]):
+        _assert_layout(cert)
+    monkeypatch.setattr(certify_mod, "TABLE_MAX_H", 1)
+    out = tmp_path / "sweep.json"
+    assert main(["certify", "--h", "2", "--out", str(out),
+                 "--depth", "sampled", "--seed", "0"]) == 0
+    _assert_layout(json.loads(out.read_text()))
+
+
+def test_blocks_after_failed_routes_are_skipped(monkeypatch, tmp_path):
+    real = hemisystem.klein_classify_pairs
+
+    def shifted(ctx, A, si, ti):
+        cls, fact, shift = real(ctx, A, si, ti)
+        cls = cls.copy()
+        cls[0] = cls[0] % 3 + 1
+        return cls, fact, shift
+
+    monkeypatch.setattr(hemisystem, "klein_classify_pairs", shifted)
+    for code, cert in _both_paths(monkeypatch, tmp_path, 2):
+        assert code == 1
+        _assert_layout(cert)
+        assert cert["witness"]["block"] == "routes"
+        assert cert["blocks"]["routes"]["pass"] is False
+        assert cert["blocks"]["identities"]["pass"]
+        for name in BLOCKS - {"routes", "identities"}:
+            assert cert["blocks"][name] == {"skipped": "routes failed"}, name
+
+
+def _raises(exc_type, message):
+    def fake(*args, **kwargs):
+        raise exc_type(message)
+    return fake
+
+
+# block -> (module, attribute, replacement, text the witness must carry)
+FAULTS = {
+    "orbit": (hemisystem, "verify_orbit",
+              _raises(StructureError, "orbit closure broken"), "orbit closure broken"),
+    "klein_images": (geometry, "to_vt", lambda ctx, v6: None, "left the pattern space"),
+    "line_census": (hemisystem, "line_census",
+                    _raises(RuntimeError, "census broken"), "census broken"),
+    "equivariance": (hemisystem, "verify_equivariance",
+                     _raises(ValueError, "equivariance broken"), "equivariance broken"),
+}
+
+
+@pytest.mark.parametrize("block", FAULTS)
+def test_exception_in_a_block_fails_that_block(block, monkeypatch, tmp_path, capsys):
+    module, attr, fake, message = FAULTS[block]
+    monkeypatch.setattr(module, attr, fake)
+    geometry.parabolic_point_set.cache_clear()  # a cached set would hide a patched to_vt
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--h", "2", "--out", str(out)]) == 1
+    cert = json.loads(out.read_text())
+    assert cert["verdict"] == "fail"
+    _assert_layout(cert)
+    witness = cert["witness"]
+    assert witness["block"] == block and message in witness["error"]
+    assert cert["blocks"][block] == {"pass": False, "error": witness["error"]}
     assert "Traceback" not in capsys.readouterr().err

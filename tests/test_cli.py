@@ -127,7 +127,7 @@ def test_export_json_analytics(tmp_path):
 
 def test_graph6_encoder_against_networkx_random():
     rng = np.random.default_rng(3)
-    for n in (1, 2, 5, 30, 62, 63, 80):
+    for n in (1, 2, 5, 30, 62, 63, 80, 517):
         A = rng.random((n, n)) < 0.3
         A = np.triu(A, 1)
         A = A | A.T

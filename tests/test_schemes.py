@@ -7,8 +7,8 @@ import pytest
 
 from hxpw import schemes
 from hxpw.fields import tower
-from hxpw.schemes import (RelationTable, SchemeAxiomError, diff_tables,
-                          expected_p_matrix, fuse, srg_check, verify_scheme)
+from hxpw.schemes import (RelationTable, SchemeAxiomError, expected_p_matrix, fuse,
+                          srg_check, verify_scheme)
 
 
 @pytest.fixture(scope="module")
@@ -367,18 +367,3 @@ def test_srg_non_regular_reported():
     res = srg_check(RelationTable(t, d=2), {1})
     assert not res["pass"]
     assert res["reason"] == "not regular"
-
-
-# ---------------------------------------------------------------------------
-# table comparison
-
-def test_diff_tables(hx_bundle_2, pw_bundle_2):
-    a = RelationTable(hx_bundle_2["table"], d=3)
-    assert diff_tables(a, a) == []
-    b = RelationTable(pw_bundle_2["table"], d=3)
-    assert diff_tables(a, b) == []
-    mut = hx_bundle_2["table"].copy()
-    mut[3, 7] = mut[7, 3] = mut[3, 7] % 3 + 1
-    assert diff_tables(a, RelationTable(mut, d=3)) == [(3, 7)]
-    with pytest.raises(ValueError):
-        diff_tables(a, RelationTable(np.zeros((4, 4), dtype=np.int8), d=1))
