@@ -24,7 +24,7 @@ print("omega lies outside GF(q^2):", not ctx.in_subfield(om, 4))
 x = 177
 print(f"\nx = {x}")
 print("absolute trace over the full field:", ctx.abs_trace(x, 8))
-t = ctx.trace_to_base(x)
+t = x ^ ctx.frob_q(x) ^ ctx.conj(x) ^ ctx.frobenius(x, 3 * ctx.h)
 print(f"trace down to GF(q): {t}; fixed by x -> x^q:", ctx.frob_q(t) == t)
 
 # the zero-trace set of GF(q^2) is the image of x -> x + x^2

@@ -202,13 +202,13 @@ def _build_parser():
     c = sub.add_parser("certify", help="run the full certification pipeline")
     common(c)
     c.add_argument("--depth", choices=("full", "sampled"), default="full",
-                   help="selects no check at h <= 3, where the geometric route is "
-                        "exhaustive at h <= 2 and spot-checked at h = 3 either way; "
+                   help="selects no check at h <= 3, where every route, the "
+                        "geometric one included, covers every pair either way; "
                         "h >= 4 requires sampled, which still sweeps every pair "
                         "(only the 100 equivariance samples are sampled)")
     c.add_argument("--seed", type=int, default=None,
-                   help="seed of the equivariance samples and of the h = 3 "
-                        "geometric spot checks (required with --depth sampled)")
+                   help="seed of the 100 equivariance samples, the only sampled "
+                        "check (required with --depth sampled)")
 
     e = sub.add_parser("export", help="export a class-union graph or analytics")
     common(e, family=True, fmt=("graph6", "csv", "json"), classes=True)

@@ -219,15 +219,6 @@ class FieldTower:
             return 0
         return self._exp[(self._log[a] - self._log[b]) % (self.size - 1)]
 
-    def pow(self, a: int, e: int) -> int:
-        """a**e for a nonnegative integer exponent (square-and-multiply)."""
-        self.check(a)
-        if e < 0:
-            raise ValueError("exponent must be nonnegative (use inv for inverses)")
-        if a == 0:
-            return 1 if e == 0 else 0
-        return self._exp[(self._log[a] * e) % (self.size - 1)]
-
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^(2^k); k is reduced mod 4h.  frobenius(a, h) is a -> a^q."""
         self.check(a)
@@ -271,16 +262,6 @@ class FieldTower:
         for _ in range(m):
             t ^= x
             x = self._sqr[x]
-        return t
-
-    def trace_to_base(self, a: int) -> int:
-        """Trace from GF(q^4) down to GF(q): a + a^q + a^(q^2) + a^(q^3)."""
-        self.check(a)
-        t = a
-        x = a
-        for _ in range(3):
-            x = self.frobenius(x, self.h)
-            t ^= x
         return t
 
     # -- bulk operations on numpy int arrays ----------------------------------

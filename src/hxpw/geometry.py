@@ -3,7 +3,9 @@
 Conventions, fixed once so every set comparison is exact tuple equality:
 
 * a point of PG(k-1, q^2) is a k-tuple of ints whose first nonzero
-  coordinate is 1;
+  coordinate is 1; the bulk helpers hold points of PG(3, q^2) as rows of
+  (..., 4) int64 arrays and, at h <= 3, as one int64 code each
+  (`point_codes`), which orders like the tuples;
 * a line is a 2-row tuple in reduced row echelon form over GF(q^2);
 * the hermitian form is h(X,Y) = X1 Y4^q + X2 Y2^q + X3 Y3^q + X4 Y1^q,
   with totally isotropic lines forming a generalized quadrangle of order
@@ -31,6 +33,10 @@ from functools import lru_cache
 import numpy as np
 
 W0 = (0, 0, 1, 1, 0, 0)  # the distinguished radical direction of the fixed hyperplane
+
+
+class StructureError(RuntimeError):
+    """A geometric structure claim failed (certificate failure)."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +113,72 @@ def line_points(ctx, line):
     return pts
 
 
+# ---------------------------------------------------------------------------
+# the same on arrays: (..., 4) int64 coordinate arrays and int64 point codes
+
+def normalize_points(ctx, P):
+    """Scale each vector of the (..., 4) array P to lead coordinate one."""
+    P = np.asarray(P, dtype=np.int64)
+    if not np.any(P, axis=-1).all():
+        raise ValueError("zero vector spans no point")
+    lead = np.take_along_axis(P, _lead(P)[..., None], axis=-1)
+    if (lead == 1).all():  # the points of canonical rows are normalized already
+        return P
+    return ctx.mul_arr(P, ctx.inv_arr(lead))
+
+
+def line_points_arr(ctx, R1, R2):
+    """The normalized points (k, q^2 + 1, 4) of the k lines spanned by R1[i], R2[i].
+
+    Row i holds R2[i] and then R1[i] + c R2[i] over GF(q^2) in ascending
+    encoding order, the order of `line_points`.  The rows must have
+    GF(q^2) entries and rank 2.
+    """
+    R1 = np.asarray(R1, dtype=np.int64)[:, None, :]
+    R2 = np.asarray(R2, dtype=np.int64)[:, None, :]
+    c = np.array(ctx.subfield(2 * ctx.h), dtype=np.int64)[None, :, None]
+    return normalize_points(ctx, np.concatenate([R2, R1 ^ ctx.mul_arr(c, R2)], axis=1))
+
+
+def _lead(P):
+    return np.argmax(P != 0, axis=-1)
+
+
+def join_rows(ctx, A, B):
+    """The reduced row echelon rows (k, 2, 4) of the lines A[i] B[i].
+
+    A and B hold distinct normalized points.  The second row is the one
+    point of the line whose lead coordinate comes last; the first is the
+    point with the earlier lead, cleared at the second pivot.
+    """
+    k = np.arange(len(A))
+    swap = (_lead(A) > _lead(B))[:, None]
+    A, B = np.where(swap, B, A), np.where(swap, A, B)
+    # equal leads: A + B is the point of the line that is zero there
+    R2 = normalize_points(ctx, np.where((_lead(A) == _lead(B))[:, None], A ^ B, B))
+    R1 = A ^ ctx.mul_arr(A[k, _lead(R2)][:, None], R2)
+    return np.stack([R1, R2], axis=1)
+
+
+def point_codes(ctx, P):
+    """One int64 per point of a (..., 4) array: the 4h-bit coordinates side by side.
+
+    Codes order like the coordinate tuples.  Four coordinates must fit in
+    63 bits, so h <= 3.
+    """
+    bits = 4 * ctx.h
+    if 4 * bits > 63:
+        raise ValueError(f"point codes need 4 x {bits} bits; they are defined for h <= 3")
+    P = np.asarray(P, dtype=np.int64)
+    return ((P[..., 0] << bits | P[..., 1]) << bits | P[..., 2]) << bits | P[..., 3]
+
+
+def lookup(sorted_codes, codes):
+    """(position, found): where each code sits in the sorted array, and whether it is there."""
+    pos = np.searchsorted(sorted_codes, codes).clip(max=sorted_codes.size - 1)
+    return pos, sorted_codes[pos] == codes
+
+
 def projective_points(ctx, width):
     """All canonical points of PG(width-1, q^2), lead-1 enumeration order."""
     F = ctx.subfield(2 * ctx.h)
@@ -124,6 +196,13 @@ def hermitian(ctx, u, v):
     m = ctx.mul
     return (m(u[0], fq(v[3])) ^ m(u[1], fq(v[1]))
             ^ m(u[2], fq(v[2])) ^ m(u[3], fq(v[0])))
+
+
+def hermitian_arr(ctx, U, V):
+    """`hermitian` on (..., 4) arrays, row by row."""
+    m, Vq = ctx.mul_arr, ctx.frob_arr(V, ctx.h)
+    return (m(U[..., 0], Vq[..., 3]) ^ m(U[..., 1], Vq[..., 1])
+            ^ m(U[..., 2], Vq[..., 2]) ^ m(U[..., 3], Vq[..., 0]))
 
 
 def is_isotropic(ctx, p):
@@ -201,13 +280,6 @@ def qhat(ctx, u):
     return ctx.mul(u[0], u[3]) ^ ctx.mul(u[1], u[2])
 
 
-def w_coords(ctx, v):
-    """(a, x0, x1, b) GF(q)-coordinates of a pattern vector."""
-    _check_wvector(ctx, v)
-    x0, x1 = split_q2(ctx, v[2])
-    return (v[0], x0, x1, v[3])
-
-
 def w_from_coords(ctx, c):
     x = join_q2(ctx, c[1], c[2])
     return (c[0], ctx.frob_q(x), x, c[3])
@@ -246,15 +318,10 @@ def w_point_set(ctx):
     return frozenset(pts)
 
 
-def _w_proj_reps(ctx):
-    """One pattern vector per point of the GF(q) projective 3-space."""
-    F = ctx.subfield(ctx.h)
-    reps = []
-    for lead in range(4):
-        head = (0,) * lead + (1,)
-        for tail in itertools.product(F, repeat=3 - lead):
-            reps.append(w_from_coords(ctx, head + tail))
-    return reps
+@lru_cache(maxsize=None)
+def w_point_codes(ctx):
+    """The sorted `point_codes` of `w_point_set`."""
+    return np.sort(point_codes(ctx, np.array(list(w_point_set(ctx)))))
 
 
 @lru_cache(maxsize=None)
@@ -262,34 +329,73 @@ def w_lines(ctx):
     """All totally isotropic GF(q)-lines, extended over GF(q^2).
 
     Returns a dict: canonical extended line -> frozenset of its GF(q)
-    points (as normalized PG(3,q^2) points).  There are (q+1)(q^2+1) lines.
+    points (as normalized PG(3,q^2) points).  There are (q+1)(q^2+1) lines,
+    the joins of the hermitian-orthogonal pairs of points of W(3, q).
     """
-    F = ctx.subfield(ctx.h)
-    basis = [w_from_coords(ctx, tuple(1 if i == j else 0 for j in range(4)))
-             for i in range(4)]
-    out = {}
-    for p in _w_proj_reps(ctx):
-        row = [bhat(ctx, p, bv) for bv in basis]
-        kern = nullspace(ctx, [row], 4)  # 3-dim, contains p (form is alternating)
-        pc = w_coords(ctx, p)
-        u = next(k for k in kern if len(rref_rows(ctx, [pc, k])[0]) == 2)
-        v = next(k for k in kern if len(rref_rows(ctx, [pc, u, k])[0]) == 3)
-        dirs = [v] + [tuple(a ^ ctx.mul(c, b) for a, b in zip(u, v)) for c in F]
-        for d in dirs:
-            wa, wb = w_from_coords(ctx, pc), w_from_coords(ctx, d)
-            line = line_through(ctx, wa, wb)
-            if line not in out:
-                span, _ = rref_rows(ctx, [pc, d])
-                gfq_pts = set()
-                for lead in range(2):
-                    combos = [(1,)] if lead else [(1, c) for c in F]
-                    for co in combos:
-                        vec = [0, 0, 0, 0]
-                        for cf, bs in zip(co, span[lead:]):
-                            vec = [a ^ ctx.mul(cf, b) for a, b in zip(vec, bs)]
-                        gfq_pts.add(normalize_point(ctx, w_from_coords(ctx, tuple(vec))))
-                out[line] = frozenset(gfq_pts)
-    return out
+    points = sorted(w_point_set(ctx))
+    W = np.array(points, dtype=np.int64)
+    i, j = np.triu_indices(len(W), 1)
+    orthogonal = hermitian_arr(ctx, W[i], W[j]) == 0
+    i, j = i[orthogonal], j[orthogonal]
+    rows = join_rows(ctx, W[i], W[j])
+    _, first, line = np.unique(point_codes(ctx, rows), axis=0, return_index=True,
+                               return_inverse=True)
+    on = np.zeros((first.size, len(W)), dtype=bool)
+    on[line, i] = on[line, j] = True
+    return {tuple(map(tuple, rows[f].tolist())): frozenset(points[p] for p in np.flatnonzero(r))
+            for f, r in zip(first, on)}
+
+
+@lru_cache(maxsize=None)
+def w_line_index(ctx):
+    """The extended GF(q)-lines as arrays, with each external point's line.
+
+    Returns a dict:
+
+    * ``lines``: the canonical lines in `w_lines` order, ``position`` their
+      index by line;
+    * ``ext_codes``: the sorted codes of the (q^2+1)(q^3-q) external points,
+      ``ext_line`` the index of the one line through each;
+    * ``incidence``: the 0/1 float32 matrix K with K[l, w] = 1 when line l
+      holds the W-point of code `w_point_codes`[w].
+
+    StructureError unless the lines' non-W points are exactly the external
+    points of `hermitian_points`, each on exactly one line, and every line
+    holds q + 1 W-points.
+    """
+    lines = tuple(w_lines(ctx))
+    rows = np.array(lines, dtype=np.int64)
+    codes = point_codes(ctx, line_points_arr(ctx, rows[:, 0], rows[:, 1]))
+    w_codes = w_point_codes(ctx)
+    w_pos, on_w = lookup(w_codes, codes)
+    line_of = np.broadcast_to(np.arange(len(lines))[:, None], codes.shape)
+    order = np.argsort(codes[~on_w], kind="stable")
+    ext_codes, ext_line = codes[~on_w][order], line_of[~on_w][order]
+    twice = np.flatnonzero(ext_codes[1:] == ext_codes[:-1])
+    if twice.size:
+        k = int(twice[0])
+        raise StructureError(
+            f"external point {decode_point(ctx, ext_codes[k])} lies on extended lines "
+            f"{int(ext_line[k])} and {int(ext_line[k + 1])}")
+    herm = point_codes(ctx, np.array(hermitian_points(ctx)))
+    if not np.array_equal(ext_codes, np.sort(herm[~lookup(w_codes, herm)[1]])):
+        raise StructureError(
+            f"the extended lines hold {ext_codes.size} non-W points, which are not the "
+            f"{herm.size - w_codes.size} external points")
+    incidence = np.zeros((len(lines), w_codes.size), dtype=np.float32)
+    incidence[line_of[on_w], w_pos[on_w]] = 1
+    short = np.flatnonzero(incidence.sum(axis=1) != ctx.q + 1)
+    if short.size:
+        raise StructureError(f"extended line {int(short[0])} does not hold q + 1 W-points")
+    return {"lines": lines, "position": {ln: i for i, ln in enumerate(lines)},
+            "ext_codes": ext_codes, "ext_line": ext_line, "incidence": incidence}
+
+
+def decode_point(ctx, code):
+    """The coordinate tuple of one `point_codes` code."""
+    bits = 4 * ctx.h
+    code = int(code)
+    return tuple((code >> (bits * k)) & ((1 << bits) - 1) for k in (3, 2, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +573,6 @@ def vt_span_points(ctx, ws):
                     vec = [a ^ ctx.mul(cf, b) for a, b in zip(vec, bs)]
             pts.append(vt_normalize(ctx, vt_from_coords(ctx, tuple(vec))))
     return pts
-
-
-@lru_cache(maxsize=None)
-def gamma_basis(ctx):
-    """Basis of the hyperplane {(x, x^q, c, c, z, z^q) : c in GF(q)}."""
-    rows = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
-            (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
-    return tuple(vt_from_coords(ctx, r) for r in rows)
-
-
-def in_gamma(ctx, w):
-    _check_vt(ctx, w)
-    return ctx.in_subfield(w[2], ctx.h)
 
 
 @lru_cache(maxsize=None)

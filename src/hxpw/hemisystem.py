@@ -10,7 +10,10 @@ pattern-swapping involution tau is the disjoint twin hemisystem.
 The scheme on the lines has three faces, all computed here:
 
 * geometric: class 1 when two lines meet; otherwise class 2 or 3 by
-  whether the subtended spreads share 1 or q+1 members;
+  whether the subtended spreads share 1 or q+1 members.  The lines, their
+  spreads and the whole table are built on arrays of point codes
+  (`build_hemisystem`, `spread_map`, `geometric_table`), with the scalar
+  `geometric_class` as the per-pair definition;
 * Klein-algebraic: class 1 when bt(w_s, w_t) = 0, class 2 when
   bt(w_s, w'_t) = 0, class 3 otherwise, where w_t / w'_t are the explicit
   Klein images of m_t / tau(m_t) and bt is the restricted alternating form;
@@ -37,8 +40,7 @@ from .conic import pair_chunks, pair_reps
 INF = "inf"  # projective-line point at infinity
 
 
-class StructureError(RuntimeError):
-    """A geometric structure claim failed (certificate failure)."""
+StructureError = geometry.StructureError
 
 
 # ---------------------------------------------------------------------------
@@ -99,24 +101,75 @@ def w_prime_vec(ctx, t):
     return (x, xq, yq, y, z, zq)
 
 
-def hemi_line(ctx, t, validate=True):
-    r1 = rational_vector(ctx, t, 1)
-    r2 = rational_vector(ctx, t, ctx.omega)
-    line = geometry.line_through(ctx, r1, r2)
-    points = frozenset(geometry.line_points(ctx, line))
+def _rational_rows(ctx):
+    """(n, 4) arrays of rational_vector(t, 1) and rational_vector(t, omega)
+    over the pair representatives t."""
+    h = ctx.h
+    t = np.array(pair_reps(ctx), dtype=np.int64)
+    tq = ctx.frob_arr(t, h)
+    theta = np.stack([np.ones_like(t), tq, t, ctx.mul_arr(t, tq)], axis=1)
+    conj = ctx.frob_arr(theta, 2 * h)
+    om = ctx.omega
+    return theta ^ conj, ctx.mul_arr(om, theta) ^ ctx.mul_arr(ctx.conj(om), conj)
+
+
+def _hemi_lines(ctx, reps, R1, R2, ws, w_primes, validate):
+    """HemiLines of the lines spanned by the rows R1[i], R2[i], all at once.
+
+    With `validate`, StructureError unless every line has rank 2 and
+    consists of isotropic points outside the symplectic substructure.
+    """
     if validate:
-        for p in points:
-            if not geometry.is_isotropic(ctx, p):
-                raise StructureError(f"m_t point {p} not isotropic (t={t})")
-            if geometry.is_w_point(ctx, p):
-                raise StructureError(f"m_t meets the symplectic substructure (t={t})")
-    return HemiLine(t, line, points, w_vec(ctx, t), w_prime_vec(ctx, t))
+        m = ctx.mul_arr
+        minors = [m(R1[:, a], R2[:, b]) ^ m(R1[:, b], R2[:, a])
+                  for a in range(4) for b in range(a + 1, 4)]
+        flat = np.flatnonzero(~np.any(minors, axis=0))
+        if flat.size:
+            raise StructureError(f"m_t rows have rank < 2 (t={reps[flat[0]]})")
+    P = geometry.line_points_arr(ctx, R1, R2)
+    codes = geometry.point_codes(ctx, P)
+    if validate:
+        form = geometry.hermitian_arr(ctx, P, P)
+        if np.any(form):
+            i, k = np.argwhere(form)[0]
+            raise StructureError(f"m_t point {tuple(P[i, k].tolist())} not isotropic "
+                                 f"(t={reps[i]})")
+        on_w = geometry.lookup(geometry.w_point_codes(ctx), codes)[1].any(axis=1)
+        if on_w.any():
+            raise StructureError(
+                f"m_t meets the symplectic substructure (t={reps[np.argmax(on_w)]})")
+    # one tuple per distinct point, shared by the lines through it
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    distinct = list(zip(*P.reshape(-1, 4)[first].T.tolist()))
+    points = [frozenset(map(distinct.__getitem__, row))
+              for row in inverse.reshape(codes.shape).tolist()]
+    rows = list(zip(*geometry.join_rows(ctx, P[:, 0], P[:, 1]).reshape(-1, 4).T.tolist()))
+    return tuple(HemiLine(t, (rows[2 * i], rows[2 * i + 1]), pts, w, wp)
+                 for i, (t, pts, w, wp) in enumerate(zip(reps, points, ws, w_primes)))
 
 
 @lru_cache(maxsize=None)
 def build_hemisystem(ctx, validate=True):
     """The hemisystem of record, ordered like the conjugate-pair index set."""
-    return tuple(hemi_line(ctx, t, validate) for t in pair_reps(ctx))
+    R1, R2 = _rational_rows(ctx)
+    A = klein_arrays(ctx)
+    x, xq, y, yq, z, zq = (A[k].tolist() for k in ("x", "xq", "y", "yq", "z", "zq"))
+    return _hemi_lines(ctx, pair_reps(ctx), R1, R2, zip(x, xq, y, yq, z, zq),
+                       zip(x, xq, yq, y, z, zq), validate)
+
+
+def tau_lines(ctx, lines):
+    """The tau images of hemisystem lines, with w and w' exchanged."""
+    rows = ctx.frob_arr(np.array([hl.line for hl in lines], dtype=np.int64), ctx.h)
+    rows = rows[..., [0, 2, 1, 3]]
+    return _hemi_lines(ctx, [hl.rep for hl in lines], rows[:, 0], rows[:, 1],
+                       [hl.w_prime for hl in lines], [hl.w for hl in lines], True)
+
+
+def _line_codes(ctx, lines):
+    """(n, q^2 + 1) point codes of the lines, from their canonical rows."""
+    rows = np.array([hl.line for hl in lines], dtype=np.int64)
+    return geometry.point_codes(ctx, geometry.line_points_arr(ctx, rows[:, 0], rows[:, 1]))
 
 
 def tau_point(ctx, p):
@@ -134,25 +187,20 @@ def tau_line(ctx, line):
 
 def verify_hemisystem(ctx, lines):
     """Per-point cover counts of the line set over the external points."""
-    wset = geometry.w_point_set(ctx)
-    counts = {}
-    for hl in lines:
-        for p in hl.points:
-            counts[p] = counts.get(p, 0) + 1
+    points = geometry.hermitian_points(ctx)
+    herm = geometry.point_codes(ctx, np.array(points))
+    order = np.argsort(herm)
+    pos, found = geometry.lookup(herm[order], _line_codes(ctx, lines))
+    counts = np.bincount(order[pos[found]], minlength=herm.size)
+    on_w = geometry.lookup(geometry.w_point_codes(ctx), herm)[1]
     target = ctx.q // 2
-    bad = []
-    externals = 0
-    for p in geometry.hermitian_points(ctx):
-        if p in wset:
-            if p in counts:
-                bad.append({"point": list(p), "count": counts[p], "expected": 0})
-            continue
-        externals += 1
-        c = counts.get(p, 0)
-        if c != target:
-            bad.append({"point": list(p), "count": c, "expected": target})
-    return {"pass": not bad, "external_points": externals, "cover": target,
-            "violations": bad[:16], "violation_count": len(bad)}
+    expected = np.where(on_w, 0, target)
+    bad = np.flatnonzero(counts != expected)
+    return {"pass": not bad.size, "external_points": int(herm.size - on_w.sum()),
+            "cover": target,
+            "violations": [{"point": list(points[i]), "count": int(counts[i]),
+                            "expected": int(expected[i])} for i in bad[:16]],
+            "violation_count": int(bad.size)}
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +209,33 @@ def verify_hemisystem(ctx, lines):
 def spread_map(ctx, lines):
     """rep -> frozenset of extended GF(q)-lines meeting the hemisystem line.
 
-    The unique substructure-meeting line through each point is memoized per
-    point; spread size and the partition property are hard-checked.
+    Each point's member is read off `geometry.w_line_index`.  StructureError
+    unless every point is external, the q^2 + 1 members are distinct and
+    they partition the points of W(3, q): S K = 1 on every W-point, with S
+    the line-by-member incidence matrix.
     """
-    wl = geometry.w_lines(ctx)
-    cache = {}
-    out = {}
-    for hl in lines:
-        members = set()
-        for p in hl.points:
-            ln = cache.get(p)
-            if ln is None:
-                ln = geometry.w_meeting_line_through(ctx, p)
-                cache[p] = ln
-            if ln not in wl:
-                raise StructureError(f"spread member of rep={hl.rep} is not an extended line")
-            members.add(ln)
-        if len(members) != ctx.q2 + 1:
-            raise StructureError(
-                f"spread of rep={hl.rep} has {len(members)} lines, expected {ctx.q2 + 1}")
-        seen = set()
-        total = 0
-        for ln in members:
-            pts = wl[ln]
-            total += len(pts)
-            seen |= pts
-        if len(seen) != total:
-            raise StructureError(f"spread of rep={hl.rep} has overlapping members")
-        out[hl.rep] = frozenset(members)
-    return out
+    index = geometry.w_line_index(ctx)
+    codes = _line_codes(ctx, lines)
+    pos, external = geometry.lookup(index["ext_codes"], codes)
+    if not external.all():
+        i, k = np.argwhere(~external)[0]
+        raise StructureError(f"point {geometry.decode_point(ctx, codes[i, k])} of rep="
+                             f"{lines[i].rep} is not an external point")
+    members = np.sort(index["ext_line"][pos], axis=1)
+    repeated = np.any(members[:, 1:] == members[:, :-1], axis=1)
+    if repeated.any():
+        i = int(np.argmax(repeated))
+        raise StructureError(f"spread of rep={lines[i].rep} has {len(set(members[i]))} "
+                             f"lines, expected {ctx.q2 + 1}")
+    S = np.zeros((len(lines), len(index["lines"])), dtype=np.float32)
+    S[np.arange(len(lines))[:, None], members] = 1
+    overlap = np.any(S @ index["incidence"] != 1, axis=1)
+    if overlap.any():
+        raise StructureError(
+            f"spread of rep={lines[int(np.argmax(overlap))].rep} has overlapping members")
+    wl = index["lines"]
+    return {hl.rep: frozenset(map(wl.__getitem__, row))
+            for hl, row in zip(lines, members.tolist())}
 
 
 def geometric_class(ctx, la, lb, spreads):
@@ -208,17 +254,53 @@ def geometric_class(ctx, la, lb, spreads):
 
 
 def geometric_table(ctx, lines, spreads=None):
-    """Full n x n geometric class table (intended for small q)."""
+    """The n x n geometric class table, `geometric_class` on every pair at once.
+
+    Shared points come from an inverted point -> lines index and shared
+    spread members from S S^T.  StructureError at the first pair in row
+    order where `geometric_class` raises.
+    """
     if spreads is None:
         spreads = spread_map(ctx, lines)
     n = len(lines)
-    table = np.zeros((n, n), dtype=np.int8)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = geometric_class(ctx, lines[i], lines[j], spreads)
-            table[i, j] = c
-            table[j, i] = c
+    shared = _shared_points(_line_codes(ctx, lines))
+    position = geometry.w_line_index(ctx)["position"]
+    members = [spreads[hl.rep] for hl in lines]
+    S = np.zeros((n, len(position)), dtype=np.float32)
+    S[np.repeat(np.arange(n), [len(m) for m in members]),
+      [position[ln] for m in members for ln in m]] = 1
+    common = S @ S.T
+    bad = (shared > 1) | ((shared == 0) & (common != 1) & (common != ctx.q + 1))
+    bad = np.triu(bad, 1)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
+        if shared[i, j] > 1:
+            raise StructureError(
+                f"lines of reps {lines[i].rep}, {lines[j].rep} share {shared[i, j]} points")
+        raise StructureError(f"spreads of reps {lines[i].rep}, {lines[j].rep} share "
+                             f"{int(common[i, j])} lines (expected 1 or q+1)")
+    table = np.where(shared == 1, np.int8(1), np.where(common == 1, np.int8(2), np.int8(3)))
+    np.fill_diagonal(table, 0)
     return table
+
+
+def _shared_points(codes):
+    """uint8 n x n counts of the points two lines share, from (n, k) point codes."""
+    n, k = codes.shape
+    flat = codes.ravel()
+    order = np.argsort(flat, kind="stable")
+    flat, line = flat[order], order // k
+    # sorted codes with lines ascending inside each run: every pair of lines
+    # through one point sits d apart for some d below the run length
+    pairs = [np.zeros(0, dtype=np.int64)]
+    d = 1
+    while d < flat.size and (same := flat[d:] == flat[:-d]).any():
+        pairs.append(line[:-d][same] * n + line[d:][same])
+        d += 1
+    pair, count = np.unique(np.concatenate(pairs), return_counts=True)
+    shared = np.zeros((n, n), dtype=np.uint8)
+    shared[pair // n, pair % n] = count
+    return shared + shared.T
 
 
 # ---------------------------------------------------------------------------

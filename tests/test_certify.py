@@ -129,9 +129,9 @@ def test_header_fields(cert2):
 
 def test_golden_hashes(cert1, cert2):
     # a change to the hashed content must come with a bump of `format`
-    assert cert1["format"] == cert2["format"] == "hxpw-certificate/3"
-    assert cert1["canonical_sha256"] == "980b13e18288631d3e3fdd0b164164a7790783e61755b0dc48add8ce0581148a"
-    assert cert2["canonical_sha256"] == "a6c1b5d555dbb37a32cb5d854c4d14e3af64299971fba3e419325763cf481130"
+    assert cert1["format"] == cert2["format"] == "hxpw-certificate/4"
+    assert cert1["canonical_sha256"] == "1247031a249dee62578cc49c9f6ce56c77e18e509ec9f83d57d441db37524f9c"
+    assert cert2["canonical_sha256"] == "e3f6fa49869d77adb37f7bf1a33f137fce516830115a8c60ff72ffbe64dfbb9a"
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +295,80 @@ def test_exception_in_a_block_fails_that_block(block, monkeypatch, tmp_path, cap
     assert witness["block"] == block and message in witness["error"]
     assert cert["blocks"][block] == {"pass": False, "error": witness["error"]}
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# faults in the geometric route
+
+def _certify_h2_fails(tmp_path, capsys):
+    """The CLI certificate of h = 2, which must fail without a traceback."""
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--h", "2", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    cert = json.loads(out.read_text())
+    assert cert["verdict"] == "fail"
+    _assert_layout(cert)
+    return cert
+
+
+def _tangent_line(ctx, line):
+    """(a line meeting the hermitian surface only in x, x) for an external point x of `line`."""
+    wset = geometry.w_point_set(ctx)
+    x = next(p for p in geometry.line_points(ctx, line) if p not in wset)
+    z = next(p for p in geometry.projective_points(ctx, 4)
+             if geometry.hermitian(ctx, x, p) == 0 and not geometry.is_isotropic(ctx, p))
+    return geometry.line_through(ctx, x, z), x
+
+
+def test_point_on_two_w_lines_fails_routes(monkeypatch, tmp_path, capsys):
+    ctx = tower(2)
+    real = geometry.w_lines(ctx)
+    tangent, x = _tangent_line(ctx, next(iter(real)))
+    assert [p for p in geometry.line_points(ctx, tangent)
+            if geometry.is_isotropic(ctx, p)] == [x]
+    monkeypatch.setattr(geometry, "w_lines", lambda ctx: {**real, tangent: frozenset()})
+    geometry.w_line_index.cache_clear()
+    try:
+        cert = _certify_h2_fails(tmp_path, capsys)
+    finally:
+        geometry.w_line_index.cache_clear()
+    error = f"StructureError: external point {x} lies on extended lines 0 and {len(real)}"
+    assert cert["blocks"]["routes"] == {"pass": False, "error": error}
+    assert cert["witness"] == {"block": "routes", "error": error}
+
+
+def test_flipped_geometric_entry_names_the_pair(monkeypatch, tmp_path, capsys):
+    i, j = _class_2_pair(tower(2))
+    real = hemisystem.geometric_table
+
+    def flipped(ctx, lines, spreads=None):
+        table = real(ctx, lines, spreads)
+        table[i, j] = table[j, i] = 3
+        return table
+
+    monkeypatch.setattr(hemisystem, "geometric_table", flipped)
+    cert = _certify_h2_fails(tmp_path, capsys)
+    geo = cert["blocks"]["routes"]["geometric"]
+    assert geo == {"pass": False, "mode": "full", "checked": 7140,
+                   "first_discrepancy": {"pair_indices": [i, j], "geometric": 3, "table": 2}}
+    assert cert["witness"] == {"block": "routes", "geometric": geo}
+
+
+def test_corrupted_row_zero_spread_is_caught_by_the_scalar_check(monkeypatch, tmp_path, capsys):
+    """Line 0 is given the spread of a line it meets.  Meeting lines share one
+    member, so every bulk count stays 1 or q + 1 and only the scalar row 0
+    can tell."""
+    real = hemisystem.spread_map
+
+    def corrupted(ctx, lines):
+        spreads = real(ctx, lines)
+        k = next(k for k in range(1, len(lines)) if lines[k].points & lines[0].points)
+        return {**spreads, lines[0].rep: spreads[lines[k].rep]}
+
+    monkeypatch.setattr(hemisystem, "spread_map", corrupted)
+    cert = _certify_h2_fails(tmp_path, capsys)
+    geo = cert["blocks"]["routes"]["geometric"]
+    assert geo["first_discrepancy"] == {
+        "line_index": 0, "rep": pair_reps(tower(2))[0], "scalar_spread_size": 17,
+        "bulk_spread_size": 17, "shared_members": 1}
+    assert cert["witness"] == {"block": "routes", "geometric": geo}

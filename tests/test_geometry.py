@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hxpw import geometry as g
@@ -168,6 +169,109 @@ def test_fast_meeting_line_matches_search():
 
 
 # ---------------------------------------------------------------------------
+# points and lines on arrays
+
+def test_bulk_line_points_match_line_points():
+    for h in (1, 2, 3):
+        ctx = tower(h)
+        rng = random.Random(30 + h)
+        lines = [_random_line(ctx, rng) for _ in range(100)]
+        rows = np.array(lines)
+        P = g.line_points_arr(ctx, rows[:, 0], rows[:, 1])
+        assert [[tuple(p) for p in pts] for pts in P.tolist()] == [
+            g.line_points(ctx, line) for line in lines]
+        for a, b in ((0, -1), (-1, 0), (1, -1)):  # the later lead first or last, or equal
+            assert [tuple(map(tuple, r)) for r in
+                    g.join_rows(ctx, P[:, a], P[:, b]).tolist()] == lines
+        codes = g.point_codes(ctx, P).ravel()
+        tuples = [tuple(p) for p in P.reshape(-1, 4).tolist()]
+        assert [g.decode_point(ctx, c) for c in codes] == tuples
+        # codes order like the coordinate tuples
+        assert np.array_equal(np.argsort(codes, kind="stable"),
+                              sorted(range(len(tuples)), key=tuples.__getitem__))
+
+
+def test_bulk_point_helpers_match_scalar():
+    ctx = tower(2)
+    rng = random.Random(8)
+    vecs = [_random_q2_vec(ctx, rng) for _ in range(300)]
+    assert [tuple(p) for p in g.normalize_points(ctx, vecs).tolist()] == [
+        g.normalize_point(ctx, v) for v in vecs]
+    U, V = np.array(vecs[:150]), np.array(vecs[150:])
+    assert g.hermitian_arr(ctx, U, V).tolist() == [
+        g.hermitian(ctx, u, v) for u, v in zip(vecs[:150], vecs[150:])]
+    with pytest.raises(ValueError):
+        g.normalize_points(ctx, [(1, 2, 3, 4), (0, 0, 0, 0)])
+
+
+def test_point_codes_refuse_h4():
+    with pytest.raises(ValueError):
+        g.point_codes(tower(4), np.zeros((1, 4), dtype=np.int64))
+
+
+def _scalar_w_lines(ctx):
+    """w_lines through kernels of the alternating form, one W-point at a time."""
+    F = ctx.subfield(ctx.h)
+
+    def coords(v):
+        return (v[0], *g.split_q2(ctx, v[2]), v[3])
+
+    basis = [g.w_from_coords(ctx, tuple(1 if i == j else 0 for j in range(4)))
+             for i in range(4)]
+    reps = [g.w_from_coords(ctx, (0,) * lead + (1,) + tail)
+            for lead in range(4) for tail in itertools.product(F, repeat=3 - lead)]
+    out = {}
+    for p in reps:
+        kern = g.nullspace(ctx, [[g.bhat(ctx, p, bv) for bv in basis]], 4)
+        pc = coords(p)
+        u = next(k for k in kern if len(g.rref_rows(ctx, [pc, k])[0]) == 2)
+        v = next(k for k in kern if len(g.rref_rows(ctx, [pc, u, k])[0]) == 3)
+        for d in [v] + [tuple(a ^ ctx.mul(c, b) for a, b in zip(u, v)) for c in F]:
+            line = g.line_through(ctx, p, g.w_from_coords(ctx, d))
+            span, _ = g.rref_rows(ctx, [pc, d])
+            combos = [(0, 1)] + [(1, c) for c in F]
+            out.setdefault(line, frozenset(
+                g.normalize_point(ctx, g.w_from_coords(ctx, tuple(
+                    ctx.mul(a, x) ^ ctx.mul(b, y) for x, y in zip(*span))))
+                for a, b in combos))
+    return out
+
+
+def test_w_lines_match_scalar_kernels():
+    for h in (1, 2, 3):
+        ctx = tower(h)
+        q = ctx.q
+        lines = g.w_lines(ctx)
+        assert len(lines) == (q + 1) * (q * q + 1)
+        assert lines == _scalar_w_lines(ctx)
+
+
+def test_w_line_index_covers_external_points_once():
+    for h in (1, 2, 3):
+        ctx = tower(h)
+        q = ctx.q
+        index = g.w_line_index(ctx)
+        wset = g.w_point_set(ctx)
+        external = [p for p in g.hermitian_points(ctx) if p not in wset]
+        assert len(external) == (q * q + 1) * (q ** 3 - q)
+        codes = g.point_codes(ctx, np.array(external))
+        pos = np.searchsorted(index["ext_codes"], codes)
+        assert np.array_equal(index["ext_codes"][pos], codes)
+        assert np.unique(index["ext_codes"]).size == len(external) == index["ext_codes"].size
+        assert set(index["lines"]) == set(g.w_lines(ctx))
+        owner = index["ext_line"][pos]
+        sample = range(len(external)) if h < 3 else random.Random(3).sample(
+            range(len(external)), 200)
+        for k in sample:
+            line = index["lines"][owner[k]]
+            assert external[k] in g.line_points(ctx, line)
+            assert g.w_meeting_line_through(ctx, external[k]) == line
+        K = index["incidence"]
+        assert K.shape == (len(index["lines"]), len(wset))
+        assert set(K.sum(axis=0)) == set(K.sum(axis=1)) == {q + 1}
+
+
+# ---------------------------------------------------------------------------
 # Klein correspondence
 
 def test_klein_map_basis_line():
@@ -228,10 +332,22 @@ def test_hemisystem_images_singular():
         assert g.qt(ctx, hs.w_vec(ctx, t)) == 0
 
 
+def _gamma_basis(ctx):
+    """Basis of the hyperplane {(x, x^q, c, c, z, z^q) : c in GF(q)}."""
+    rows = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
+    return [g.vt_from_coords(ctx, r) for r in rows]
+
+
+def _in_gamma(ctx, w):
+    assert g.is_vt(ctx, w)
+    return ctx.in_subfield(w[2], ctx.h)
+
+
 def test_perp_of_gamma_is_w0():
     for h in (1, 2):
         ctx = tower(h)
-        perp = g.vt_perp(ctx, list(g.gamma_basis(ctx)))
+        perp = g.vt_perp(ctx, _gamma_basis(ctx))
         assert len(perp) == 1
         assert g.vt_normalize(ctx, perp[0]) == g.W0
 
@@ -263,7 +379,7 @@ def test_parabolic_quadric_inside_hyperplane():
         q = ctx.q
         q4 = g.parabolic_point_set(ctx)
         assert len(q4) == (q + 1) * (q * q + 1)
-        assert all(g.in_gamma(ctx, w) for w in q4)
+        assert all(_in_gamma(ctx, w) for w in q4)
         assert all(g.qt(ctx, w) == 0 for w in q4)
 
 

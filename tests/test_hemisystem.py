@@ -8,6 +8,34 @@ from hxpw import geometry as g
 from hxpw import hemisystem as hs
 from hxpw.conic import pair_reps, nu
 from hxpw.fields import tower
+from hxpw.hemisystem import StructureError
+
+
+def _hemi_line(ctx, t):
+    """m_t through scalar linear algebra: the oracle of `build_hemisystem`."""
+    r1 = hs.rational_vector(ctx, t, 1)
+    r2 = hs.rational_vector(ctx, t, ctx.omega)
+    line = g.line_through(ctx, r1, r2)
+    points = frozenset(g.line_points(ctx, line))
+    for p in points:
+        assert g.is_isotropic(ctx, p) and not g.is_w_point(ctx, p)
+    return hs.HemiLine(t, line, points, hs.w_vec(ctx, t), hs.w_prime_vec(ctx, t))
+
+
+def _trace_to_base(ctx, a):
+    """Trace from GF(q^4) down to GF(q): a + a^q + a^(q^2) + a^(q^3)."""
+    t = a
+    for _ in range(3):
+        a = ctx.frob_q(a)
+        t ^= a
+    return t
+
+
+def _oracle_lines(h):
+    """(ctx, indices) of every line at h <= 2 and of 200 seeded lines at h = 3."""
+    ctx = tower(h)
+    n = len(pair_reps(ctx))
+    return ctx, range(n) if h < 3 else sorted(random.Random(99).sample(range(n), 200))
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +71,35 @@ def test_lines_isotropic_and_external(lines_2, ctx2):
         for p in hl.points:
             assert g.is_isotropic(ctx2, p)
             assert p not in wset
+
+
+def test_bulk_lines_match_scalar_oracle():
+    for h in (1, 2, 3):
+        ctx, idx = _oracle_lines(h)
+        lines = hs.build_hemisystem(ctx)
+        twins = hs.tau_lines(ctx, lines)
+        for i in idx:
+            hl, oracle = lines[i], _hemi_line(ctx, pair_reps(ctx)[i])
+            assert (hl.rep, hl.line, hl.points, hl.w, hl.w_prime) == (
+                oracle.rep, oracle.line, oracle.points, oracle.w, oracle.w_prime)
+            tl = hs.tau_line(ctx, hl.line)
+            assert (twins[i].rep, twins[i].line, twins[i].w, twins[i].w_prime) == (
+                hl.rep, tl, hl.w_prime, hl.w)
+            assert twins[i].points == frozenset(g.line_points(ctx, tl))
+
+
+def test_bulk_construction_rejects_bad_lines():
+    """Line 7 replaced by a W-line, a secant line and a repeated row."""
+    ctx = tower(2)
+    reps = pair_reps(ctx)
+    cases = ((next(iter(g.w_lines(ctx))), "meets the symplectic substructure"),
+             (((1, 0, 0, 0), (0, 0, 0, 1)), "not isotropic"),
+             (((1, 0, 0, 0), (1, 0, 0, 0)), "rank < 2"))
+    for rows, message in cases:
+        R1, R2 = hs._rational_rows(ctx)
+        R1[7], R2[7] = rows
+        with pytest.raises(StructureError, match=f"{message}.*\\(t={reps[7]}\\)"):
+            hs._hemi_lines(ctx, reps, R1, R2, [None] * 120, [None] * 120, True)
 
 
 def test_tau_involution_on_random_lines():
@@ -88,6 +145,31 @@ def test_hemisystem_property_small():
         assert report["cover"] == cover
 
 
+def _cover_oracle(ctx, lines):
+    """verify_hemisystem through a dict over point tuples."""
+    wset = g.w_point_set(ctx)
+    counts = {}
+    for hl in lines:
+        for p in hl.points:
+            counts[p] = counts.get(p, 0) + 1
+    bad = []
+    for p in g.hermitian_points(ctx):
+        expected = 0 if p in wset else ctx.q // 2
+        if counts.get(p, 0) != expected:
+            bad.append({"point": list(p), "count": counts.get(p, 0), "expected": expected})
+    return bad
+
+
+def test_cover_counts_match_dict_oracle(lines_2, ctx2):
+    """Two lines dropped and one repeated: both counts name the same points."""
+    lines = lines_2[2:] + lines_2[5:6]
+    report = hs.verify_hemisystem(ctx2, lines)
+    bad = _cover_oracle(ctx2, lines)
+    assert not report["pass"] and report["violation_count"] == len(bad) > 16
+    assert report["violations"] == bad[:16]
+    assert report["external_points"] == 1020 and report["cover"] == 2
+
+
 def test_cover_double_count():
     for h in (1, 2, 3):
         ctx = tower(h)
@@ -102,6 +184,23 @@ def test_cover_double_count():
 
 def test_spread_sizes(ctx2, lines_2, spreads_2):
     assert set(map(len, spreads_2.values())) == {17}
+
+
+def test_bulk_spreads_match_meeting_lines():
+    for h in (1, 2, 3):
+        ctx, idx = _oracle_lines(h)
+        lines = [hs.build_hemisystem(ctx)[i] for i in idx]
+        spreads = hs.spread_map(ctx, lines)
+        for hl in lines:
+            assert spreads[hl.rep] == frozenset(
+                g.w_meeting_line_through(ctx, p) for p in hl.points)
+
+
+def test_spread_map_rejects_a_w_line(ctx2):
+    line = next(iter(g.w_lines(ctx2)))
+    hl = hs.HemiLine(0, line, frozenset(g.line_points(ctx2, line)), None, None)
+    with pytest.raises(StructureError, match="of rep=0 is not an external point"):
+        hs.spread_map(ctx2, [hl])
 
 
 def test_tau_line_subtends_same_spread(ctx2, lines_2, spreads_2):
@@ -124,6 +223,39 @@ def test_spread_intersections_dichotomy(ctx2, lines_2, spreads_2):
 
 # ---------------------------------------------------------------------------
 # the three classification routes
+
+def _geometric_oracle(ctx, lines, spreads):
+    """geometric_class on every pair, row by row."""
+    n = len(lines)
+    table = np.zeros((n, n), dtype=np.int8)
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i, j] = table[j, i] = hs.geometric_class(ctx, lines[i], lines[j], spreads)
+    return table
+
+
+def test_bulk_geometric_table_matches_scalar_loop():
+    for h in (1, 2):
+        ctx = tower(h)
+        lines = hs.build_hemisystem(ctx)
+        spreads = hs.spread_map(ctx, lines)
+        assert np.array_equal(hs.geometric_table(ctx, lines, spreads),
+                              _geometric_oracle(ctx, lines, spreads))
+
+
+def test_bulk_geometric_table_raises_where_the_loop_does(ctx2, lines_2, spreads_2):
+    """A repeated line shares all its points; a member dropped from a spread
+    breaks the 1 or q + 1 count.  Both report the first bad pair in row order."""
+    shrunk = {**spreads_2, lines_2[4].rep: spreads_2[lines_2[4].rep] - {
+        next(iter(spreads_2[lines_2[4].rep]))}}
+    for lines, spreads in ((lines_2[:12] + lines_2[3:4], spreads_2),
+                           (lines_2[:12], shrunk)):
+        with pytest.raises(StructureError) as loop:
+            _geometric_oracle(ctx2, lines, spreads)
+        with pytest.raises(StructureError) as bulk:
+            hs.geometric_table(ctx2, lines, spreads)
+        assert str(bulk.value) == str(loop.value)
+
 
 def test_geometric_row_valencies(ctx2, lines_2, spreads_2):
     table = hs.geometric_table(ctx2, lines_2, spreads_2)
@@ -192,7 +324,7 @@ def test_klein_images_match_explicit_vectors():
     ctx = tower(3)
     rng = random.Random(14)
     for t in rng.sample(pair_reps(ctx), 50):
-        hl = hs.hemi_line(ctx, t, validate=False)
+        hl = _hemi_line(ctx, t)
         assert (g.normalize_point(ctx, g.klein_map(ctx, hl.line))
                 == g.normalize_point(ctx, hl.w))
 
@@ -223,8 +355,8 @@ def test_radical_vector_orthogonal_to_plane(ctx2, lines_2):
     w0 = g.vt_from_coords(ctx2, g.vt_coords(ctx2, g.W0))
     for _ in range(300):
         la, lb = rng.sample(lines_2, 2)
-        trs = ctx2.trace_to_base(ctx2.mul(la.rep, ctx2.frob_q(la.rep)))
-        trt = ctx2.trace_to_base(ctx2.mul(lb.rep, ctx2.frob_q(lb.rep)))
+        trs = _trace_to_base(ctx2, ctx2.mul(la.rep, ctx2.frob_q(la.rep)))
+        trt = _trace_to_base(ctx2, ctx2.mul(lb.rep, ctx2.frob_q(lb.rep)))
         b1 = g.bt(ctx2, la.w, lb.w)
         v = tuple(ctx2.mul(trt, a) ^ ctx2.mul(b1, b) ^ ctx2.mul(trs, c)
                   for a, b, c in zip(la.w, w0, lb.w))
