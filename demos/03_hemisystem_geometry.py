@@ -34,7 +34,7 @@ orbit = hemisystem.verify_orbit(ctx)
 print(f"\ngroup orbit closure: size {orbit['orbit_size']} "
       f"(= whole hemisystem, twin untouched) ->", orbit["pass"])
 
-census = hemisystem.line_census(ctx)
+census = hemisystem.line_census(ctx, lines, hemisystem.tau_lines(ctx, lines))
 print(f"line census: {census['total_lines']} isotropic lines = "
       f"{census['w_extended']} extended + {census['orbit']} + {census['tau_orbit']} ->",
       census["pass"])

@@ -23,11 +23,13 @@ fails that stage's blocks with the exception as the error, and once the
 and all three identities are swept over every pair at every h; above
 TABLE_MAX_H no table is built, so the blocks that read tables are skipped.
 Up to TABLE_MAX_H the geometric route, recorded in `routes.geometric`,
-also classifies every pair, and `tau_consistency` runs; the line census,
-orbit closure and Klein images run at h <= 2.
+also classifies every pair, and `tau_consistency`, the line census and the
+Klein images run on the arrays that route builds; only the orbit closure
+is limited to h <= 2.  A failing census or Klein block names its first
+bad line in `first_discrepancy`.
 
 Certificates are deterministic functions of (h, depth, seed), in the
-format `hxpw-certificate/4`; the seed draws only the 100 equivariance
+format `hxpw-certificate/5`; the seed draws only the 100 equivariance
 samples.  Two runs produce byte-identical canonical JSON, and
 `canonical_hash` excludes only the per-stage wall-clock `timings` block.
 """
@@ -85,7 +87,7 @@ def certify(h: int, depth: str = "full", seed=None) -> dict:
     blocks, timings, witness = {}, {}, None
     # what the stages share; the stages fill in the fields that start as None
     st = SimpleNamespace(ctx=ctx, seed=0 if seed is None else seed, blocks=blocks,
-                         hx=None, lines=None, spreads=None, analytics=None,
+                         hx=None, lines=None, tau=None, spreads=None, analytics=None,
                          degenerate=False)
     for name, names, skip, run in STAGES:
         reason = "routes failed" if blocks.get("routes", {}).get("pass") is False else skip(h)
@@ -109,11 +111,11 @@ def certify(h: int, depth: str = "full", seed=None) -> dict:
                 k: v for k, v in blocks[failed[0]].items()
                 if k in WITNESS_KEYS and v is not None}}
     cert = {
-        "format": "hxpw-certificate/4",
+        "format": "hxpw-certificate/5",
         "header": {
             "version": VERSION, "h": h, "q": ctx.q, "n": len(pair_reps(ctx)),
             "modulus_hex": hex(ctx.modulus), "omega": ctx.omega,
-            "depth": depth, "seed": seed, "geometric_seed": st.seed,
+            "depth": depth, "seed": seed,
         },
         "blocks": blocks,
         "degenerate": st.degenerate,
@@ -140,10 +142,6 @@ def _tables(h):
     if h > TABLE_MAX_H:
         return f"outside the certified envelope at h > {TABLE_MAX_H}"
     return None
-
-
-def _small_q(h):
-    return _tables(h) or ("exhaustive geometry enumerated only at h <= 2" if h > 2 else None)
 
 
 def _orbit_skip(h):
@@ -198,10 +196,10 @@ def _class_counts(st):
 
 def _tau_consistency(st):
     """The tau-images of the lines subtend the same spreads and the same table."""
-    tau_lines = hemisystem.tau_lines(st.ctx, st.lines)
-    tau_spreads = hemisystem.spread_map(st.ctx, tau_lines)
+    st.tau = hemisystem.tau_lines(st.ctx, st.lines)
+    tau_spreads = hemisystem.spread_map(st.ctx, st.tau)
     same_spreads = tau_spreads == st.spreads
-    tau_table = hemisystem.geometric_table(st.ctx, tau_lines, tau_spreads)
+    tau_table = hemisystem.geometric_table(st.ctx, st.tau, tau_spreads)
     tau_ok = same_spreads and np.array_equal(tau_table, st.hx["table"])
     return {"tau_consistency": {"pass": tau_ok, "same_subtended_spreads": same_spreads}}
 
@@ -250,11 +248,12 @@ STAGES = (
                                        "table_sha256": _sha(st.hx["table"])}}),
     ("hemisystem", ("hemisystem",), _tables,
           lambda st: {"hemisystem": hemisystem.verify_hemisystem(st.ctx, st.lines)}),
-    ("line_census", ("line_census",), _small_q,
-          lambda st: {"line_census": hemisystem.line_census(st.ctx)}),
     ("tau_consistency", ("tau_consistency",), _tables, _tau_consistency),
-    ("klein_images", ("klein_images",), _small_q,
-          lambda st: {"klein_images": _klein_image_consistency(st.ctx, st.lines, st.spreads)}),
+    ("line_census", ("line_census",), _tables,
+          lambda st: {"line_census": hemisystem.line_census(st.ctx, st.lines, st.tau)}),
+    ("klein_images", ("klein_images",), _tables,
+          lambda st: {"klein_images": hemisystem.klein_images(st.ctx, st.lines, st.tau,
+                                                             st.spreads)}),
     ("scheme", ("scheme_hx", "scheme_pw"), _tables, _scheme),
     ("spectrum", ("eigenmatrix", "krein", "srg"), _tables, _spectrum),
     ("fine", ("fine",), _tables, lambda st: {"fine": _fine_block(st.ctx, st.hx)}),
@@ -294,35 +293,6 @@ def _row_zero_discrepancy(ctx, geo, lines, spreads):
         if c != geo[0, j]:
             return {"pair_indices": [0, j], "geometric": int(geo[0, j]), "scalar": c}
     return None
-
-
-def _klein_image_consistency(ctx, lines, spreads):
-    """Exhaustive small-q checks of the Klein-side dictionary."""
-    norm = lambda v: geometry.normalize_point(ctx, v)
-    proj_fail = sum(
-        1 for hl in lines
-        if norm(geometry.klein_map(ctx, hl.line)) != norm(hl.w)
-        or norm(geometry.klein_map(ctx, hemisystem.tau_line(ctx, hl.line))) != norm(hl.w_prime))
-    q4set = geometry.parabolic_point_set(ctx)
-    w0_fail = 0
-    image_fail = 0
-    singular_fail = 0
-    for hl in lines:
-        if geometry.qt(ctx, hl.w) != 0 or geometry.qt(ctx, hl.w_prime) != 0:
-            singular_fail += 1
-        span = geometry.vt_span_points(ctx, [hl.w, hl.w_prime])
-        if geometry.vt_normalize(ctx, geometry.W0) not in span:
-            w0_fail += 1
-        perp = geometry.vt_perp(ctx, [hl.w, hl.w_prime])
-        quadric_pts = {p for p in geometry.vt_span_points(ctx, perp)
-                       if p in q4set}
-        image = {geometry.klein_vt(ctx, ln) for ln in spreads[hl.rep]}
-        if quadric_pts != image:
-            image_fail += 1
-    ok = not (proj_fail or w0_fail or image_fail or singular_fail)
-    return {"pass": ok, "projective_mismatches": proj_fail,
-            "w0_not_on_secant": w0_fail, "spread_image_mismatches": image_fail,
-            "nonsingular_images": singular_fail}
 
 
 def _analytics_blocks(q, an):

@@ -18,11 +18,13 @@ Conventions, fixed once so every set comparison is exact tuple equality:
   quadric on images is X1 X6 + X2 X5 + X3 X4;
 * the 6-dimensional GF(q)-space of "conjugate-pattern" 6-vectors
   (x, x^q, y, y^q, z, z^q) carries the restricted quadratic form
-  q_t(w) = x z^q + x^q z + y^(q+1) and its polar alternating form b_t.
+  q_t(w) = x z^q + x^q z + y^(q+1) and its polar alternating form b_t;
+  the Klein image of an extended GF(q)-line has a scalar multiple of that
+  pattern (`pattern_scalars` finds it for many images at once).
 
-GF(q)-linear algebra (kernels, spans, perps) is done in explicit GF(q)
-coordinates obtained by splitting GF(q^2) over the basis {1, e}, where e is
-the smallest element of GF(q^2) outside GF(q).
+The GF(q)-linear kernel behind `w_meeting_line_through` is taken in
+explicit GF(q) coordinates obtained by splitting GF(q^2) over the basis
+{1, e}, where e is the smallest element of GF(q^2) outside GF(q).
 """
 
 from __future__ import annotations
@@ -210,23 +212,20 @@ def is_isotropic(ctx, p):
 
 
 @lru_cache(maxsize=None)
-def hermitian_points(ctx):
-    """All (q^2+1)(q^3+1) isotropic points, vectorized enumeration."""
+def hermitian_codes(ctx):
+    """The sorted `point_codes` of the (q^2+1)(q^3+1) isotropic points."""
     F = np.array(ctx.subfield(2 * ctx.h), dtype=np.int64)
     h = ctx.h
     norm = lambda x: ctx.mul_arr(x, ctx.frob_arr(x, h))
-    pts = []
     # lead pattern (1, a, b, c): h(p,p) = c + c^q + N(a) + N(b)
     a, b, c = (x.ravel() for x in np.meshgrid(F, F, F, indexing="ij"))
-    mask = (c ^ ctx.frob_arr(c, h) ^ norm(a) ^ norm(b)) == 0
-    pts.extend((1, int(x), int(y), int(z)) for x, y, z in zip(a[mask], b[mask], c[mask]))
+    iso = (c ^ ctx.frob_arr(c, h) ^ norm(a) ^ norm(b)) == 0
+    lead1 = np.stack([np.ones_like(a), a, b, c], axis=1)[iso]
     # lead pattern (0, 1, b, c): h(p,p) = 1 + N(b)
     b, c = (x.ravel() for x in np.meshgrid(F, F, indexing="ij"))
-    mask = norm(b) == 1
-    pts.extend((0, 1, int(x), int(y)) for x, y in zip(b[mask], c[mask]))
+    lead2 = np.stack([np.zeros_like(b), np.ones_like(b), b, c], axis=1)[norm(b) == 1]
     # lead pattern (0, 0, 1, c): h(p,p) = 1, never isotropic
-    pts.append((0, 0, 0, 1))
-    return tuple(pts)
+    return np.sort(point_codes(ctx, np.concatenate([lead1, lead2, [(0, 0, 0, 1)]])))
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +352,15 @@ def w_line_index(ctx):
     Returns a dict:
 
     * ``lines``: the canonical lines in `w_lines` order, ``position`` their
-      index by line;
+      index by line, ``codes`` the (k, q^2 + 1) codes of their points in
+      `line_points` order;
     * ``ext_codes``: the sorted codes of the (q^2+1)(q^3-q) external points,
       ``ext_line`` the index of the one line through each;
     * ``incidence``: the 0/1 float32 matrix K with K[l, w] = 1 when line l
       holds the W-point of code `w_point_codes`[w].
 
     StructureError unless the lines' non-W points are exactly the external
-    points of `hermitian_points`, each on exactly one line, and every line
+    points of `hermitian_codes`, each on exactly one line, and every line
     holds q + 1 W-points.
     """
     lines = tuple(w_lines(ctx))
@@ -377,8 +377,8 @@ def w_line_index(ctx):
         raise StructureError(
             f"external point {decode_point(ctx, ext_codes[k])} lies on extended lines "
             f"{int(ext_line[k])} and {int(ext_line[k + 1])}")
-    herm = point_codes(ctx, np.array(hermitian_points(ctx)))
-    if not np.array_equal(ext_codes, np.sort(herm[~lookup(w_codes, herm)[1]])):
+    herm = hermitian_codes(ctx)
+    if not np.array_equal(ext_codes, herm[~lookup(w_codes, herm)[1]]):
         raise StructureError(
             f"the extended lines hold {ext_codes.size} non-W points, which are not the "
             f"{herm.size - w_codes.size} external points")
@@ -387,7 +387,7 @@ def w_line_index(ctx):
     short = np.flatnonzero(incidence.sum(axis=1) != ctx.q + 1)
     if short.size:
         raise StructureError(f"extended line {int(short[0])} does not hold q + 1 W-points")
-    return {"lines": lines, "position": {ln: i for i, ln in enumerate(lines)},
+    return {"lines": lines, "position": {ln: i for i, ln in enumerate(lines)}, "codes": codes,
             "ext_codes": ext_codes, "ext_line": ext_line, "incidence": incidence}
 
 
@@ -465,6 +465,13 @@ def plucker(ctx, r, s):
             m(r[2], s[3]) ^ m(r[3], s[2]))
 
 
+def plucker_arr(ctx, R1, R2):
+    """`plucker` on (..., 4) arrays of basis rows: the (..., 6) minor vectors."""
+    m = ctx.mul_arr
+    return np.stack([m(R1[..., a], R2[..., b]) ^ m(R1[..., b], R2[..., a])
+                     for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (3, 1), (2, 3))], axis=-1)
+
+
 def klein_map(ctx, line):
     """Normalized Klein image point of a canonical line (basis-free)."""
     return normalize_point(ctx, plucker(ctx, *line))
@@ -505,91 +512,13 @@ def bt(ctx, w, w2):
             ^ m(w[3], w2[2]) ^ m(w[4], w2[1]) ^ m(w[5], w2[0]))
 
 
-def to_vt(ctx, v6):
-    """A scalar multiple of v6 with the conjugate pattern, or None."""
-    for c in ctx.subfield(2 * ctx.h):
-        if c == 0:
-            continue
-        w = tuple(ctx.mul(c, x) for x in v6)
-        if is_vt(ctx, w):
-            return w
-    return None
+def pattern_scalars(ctx, V):
+    """Per row of the (k, 6) array V, the least nonzero c in GF(q^2) whose
+    multiple c V[i] has the conjugate pattern, or 0 where there is none.
 
-
-def vt_coords(ctx, w):
-    _check_vt(ctx, w)
-    x0, x1 = split_q2(ctx, w[0])
-    y0, y1 = split_q2(ctx, w[2])
-    z0, z1 = split_q2(ctx, w[4])
-    return (x0, x1, y0, y1, z0, z1)
-
-
-def vt_from_coords(ctx, c):
-    x = join_q2(ctx, c[0], c[1])
-    y = join_q2(ctx, c[2], c[3])
-    z = join_q2(ctx, c[4], c[5])
-    fq = ctx.frob_q
-    return (x, fq(x), y, fq(y), z, fq(z))
-
-
-def vt_normalize(ctx, w):
-    """Scale by a GF(q) unit so the first nonzero GF(q)-coordinate is 1."""
-    co = vt_coords(ctx, w)
-    lead = next((x for x in co if x != 0), None)
-    if lead is None:
-        raise ValueError("zero vector")
-    if lead == 1:
-        return tuple(w)
-    s = ctx.inv(lead)
-    return tuple(ctx.mul(s, x) for x in w)
-
-
-@lru_cache(maxsize=None)
-def vt_basis(ctx):
-    return tuple(vt_from_coords(ctx, tuple(1 if i == j else 0 for j in range(6)))
-                 for i in range(6))
-
-
-def vt_perp(ctx, ws):
-    """Canonical basis (as pattern 6-tuples) of the bt-orthogonal space."""
-    basis = vt_basis(ctx)
-    rows = [[bt(ctx, w, bv) for bv in basis] for w in ws]
-    kern = nullspace(ctx, rows, 6)
-    return [vt_from_coords(ctx, k) for k in kern]
-
-
-def vt_span_points(ctx, ws):
-    """Canonical GF(q)-projective points of the GF(q)-span of ws."""
-    coords, _ = rref_rows(ctx, [vt_coords(ctx, w) for w in ws])
-    F = ctx.subfield(ctx.h)
-    k = len(coords)
-    pts = []
-    for lead in range(k):
-        for tail in itertools.product(F, repeat=k - 1 - lead):
-            co = (0,) * lead + (1,) + tail
-            vec = [0] * 6
-            for cf, bs in zip(co[lead:], coords[lead:]):
-                if cf:
-                    vec = [a ^ ctx.mul(cf, b) for a, b in zip(vec, bs)]
-            pts.append(vt_normalize(ctx, vt_from_coords(ctx, tuple(vec))))
-    return pts
-
-
-@lru_cache(maxsize=None)
-def parabolic_point_set(ctx):
-    """Klein images of the extended GF(q)-lines (a parabolic quadric)."""
-    pts = set()
-    for line in w_lines(ctx):
-        w = to_vt(ctx, klein_map(ctx, line))
-        if w is None:
-            raise RuntimeError(f"Klein image of {line} left the pattern space")
-        pts.add(vt_normalize(ctx, w))
-    return frozenset(pts)
-
-
-def klein_vt(ctx, line):
-    """Canonical pattern-space representative of a line's Klein image."""
-    w = to_vt(ctx, klein_map(ctx, line))
-    if w is None:
-        raise ValueError("Klein image has no pattern-space representative")
-    return vt_normalize(ctx, w)
+    The rows must have GF(q^2) entries.
+    """
+    c = np.array(ctx.subfield(2 * ctx.h)[1:], dtype=np.int64)
+    W = ctx.mul_arr(c[:, None, None], np.asarray(V, dtype=np.int64)[None])
+    ok = np.all(W[..., 1::2] == ctx.frob_arr(W[..., 0::2], ctx.h), axis=-1)
+    return np.where(ok.any(axis=0), c[np.argmax(ok, axis=0)], 0)

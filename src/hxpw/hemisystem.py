@@ -25,6 +25,10 @@ The radical identity qt(v) = bt(w_s, w_t) * bt(w_s, w'_t), with v the
 radical of the plane spanned by w_s, w0, w_t, ties the first two faces
 together and is swept exactly over all pairs, in `klein_classify_pairs`,
 the one bulk evaluation of the Klein route.
+
+The same arrays carry `line_census` (m_t, tau m_t and the extended GF(q)-
+lines are all the totally isotropic lines) and `klein_images` (the Klein
+images of the lines and of their spreads), in bulk at every h <= 3.
 """
 
 from __future__ import annotations
@@ -120,10 +124,7 @@ def _hemi_lines(ctx, reps, R1, R2, ws, w_primes, validate):
     consists of isotropic points outside the symplectic substructure.
     """
     if validate:
-        m = ctx.mul_arr
-        minors = [m(R1[:, a], R2[:, b]) ^ m(R1[:, b], R2[:, a])
-                  for a in range(4) for b in range(a + 1, 4)]
-        flat = np.flatnonzero(~np.any(minors, axis=0))
+        flat = np.flatnonzero(~np.any(geometry.plucker_arr(ctx, R1, R2), axis=1))
         if flat.size:
             raise StructureError(f"m_t rows have rank < 2 (t={reps[flat[0]]})")
     P = geometry.line_points_arr(ctx, R1, R2)
@@ -187,19 +188,18 @@ def tau_line(ctx, line):
 
 def verify_hemisystem(ctx, lines):
     """Per-point cover counts of the line set over the external points."""
-    points = geometry.hermitian_points(ctx)
-    herm = geometry.point_codes(ctx, np.array(points))
-    order = np.argsort(herm)
-    pos, found = geometry.lookup(herm[order], _line_codes(ctx, lines))
-    counts = np.bincount(order[pos[found]], minlength=herm.size)
+    herm = geometry.hermitian_codes(ctx)
+    pos, found = geometry.lookup(herm, _line_codes(ctx, lines))
+    counts = np.bincount(pos[found], minlength=herm.size)
     on_w = geometry.lookup(geometry.w_point_codes(ctx), herm)[1]
     target = ctx.q // 2
     expected = np.where(on_w, 0, target)
     bad = np.flatnonzero(counts != expected)
     return {"pass": not bad.size, "external_points": int(herm.size - on_w.sum()),
             "cover": target,
-            "violations": [{"point": list(points[i]), "count": int(counts[i]),
-                            "expected": int(expected[i])} for i in bad[:16]],
+            "violations": [{"point": list(geometry.decode_point(ctx, herm[i])),
+                            "count": int(counts[i]), "expected": int(expected[i])}
+                           for i in bad[:16]],
             "violation_count": int(bad.size)}
 
 
@@ -264,11 +264,7 @@ def geometric_table(ctx, lines, spreads=None):
         spreads = spread_map(ctx, lines)
     n = len(lines)
     shared = _shared_points(_line_codes(ctx, lines))
-    position = geometry.w_line_index(ctx)["position"]
-    members = [spreads[hl.rep] for hl in lines]
-    S = np.zeros((n, len(position)), dtype=np.float32)
-    S[np.repeat(np.arange(n), [len(m) for m in members]),
-      [position[ln] for m in members for ln in m]] = 1
+    S = spread_incidence(ctx, lines, spreads)
     common = S @ S.T
     bad = (shared > 1) | ((shared == 0) & (common != 1) & (common != ctx.q + 1))
     bad = np.triu(bad, 1)
@@ -282,6 +278,16 @@ def geometric_table(ctx, lines, spreads=None):
     table = np.where(shared == 1, np.int8(1), np.where(common == 1, np.int8(2), np.int8(3)))
     np.fill_diagonal(table, 0)
     return table
+
+
+def spread_incidence(ctx, lines, spreads):
+    """The 0/1 float32 matrix S: S[i, l] = 1 when extended line l is in the spread of lines[i]."""
+    position = geometry.w_line_index(ctx)["position"]
+    members = [spreads[hl.rep] for hl in lines]
+    S = np.zeros((len(lines), len(position)), dtype=np.float32)
+    S[np.repeat(np.arange(len(lines)), [len(m) for m in members]),
+      [position[ln] for m in members for ln in m]] = 1
+    return S
 
 
 def _shared_points(codes):
@@ -529,25 +535,118 @@ def verify_orbit(ctx):
 
 
 # ---------------------------------------------------------------------------
-# census of all totally isotropic lines (small q)
+# the census of all totally isotropic lines, and the Klein images, in bulk
 
-def line_census(ctx):
-    """Partition check: extended GF(q)-lines, {m_t}, {tau m_t} cover all lines."""
-    if ctx.h > 2:
-        raise ValueError("full line census is only run at h <= 2")
-    all_lines = set()
-    for p in geometry.hermitian_points(ctx):
-        for line, _ in geometry.h_lines_through(ctx, p):
-            all_lines.add(line)
-    lines = build_hemisystem(ctx)
-    mset = {hl.line for hl in lines}
-    tset = {tau_line(ctx, hl.line) for hl in lines}
-    wset = set(geometry.w_lines(ctx))
-    q = ctx.q
+def line_census(ctx, lines, tau):
+    """Partition check: the extended GF(q)-lines, {m_t} and {tau m_t} are all the lines.
+
+    H(3, q^2) is a generalized quadrangle of order (q^2, q): each isotropic
+    point lies on exactly q + 1 totally isotropic lines (Payne-Thas, *Finite
+    Generalized Quadrangles*, ch. 3).  So distinct lines of isotropic points
+    that put every isotropic point on q + 1 of them are all the lines.  The
+    lines are compared as sorted point-code rows; `geometry.h_lines_through`
+    derives the lines through the first point of m_t0 a second time.
+    """
+    index = geometry.w_line_index(ctx)
+    n, q = len(lines), ctx.q
+    codes = np.concatenate([_line_codes(ctx, lines), _line_codes(ctx, tau), index["codes"]])
+    rows = np.sort(codes, axis=1)
+    _, first, line_id = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    orbit, tau_orbit, w_extended = (np.unique(line_id[a:b]).size
+                                    for a, b in ((0, n), (n, 2 * n), (2 * n, len(rows))))
+    herm = geometry.hermitian_codes(ctx)
+    points, on = np.unique(rows[first], return_counts=True)
+    covers = bool(np.array_equal(points, herm) and np.all(on == q + 1))
+    miscovered = points[(on != q + 1) | ~geometry.lookup(herm, points)[1]]
+    canonical = [hl.line for hl in lines] + [hl.line for hl in tau] + list(index["lines"])
+    through = sorted((canonical[k], bool(k >= 2 * n))
+                     for k in first[np.any(rows[first] == codes[0, 0], axis=1)])
     expected_total = (q + 1) * (q ** 3 + 1)
-    disjoint = (not mset & tset) and (not mset & wset) and (not tset & wset)
-    covers = mset | tset | wset == all_lines
-    return {"pass": disjoint and covers and len(all_lines) == expected_total,
-            "total_lines": len(all_lines), "expected_total": expected_total,
-            "w_extended": len(wset), "orbit": len(mset), "tau_orbit": len(tset),
-            "disjoint": disjoint, "covers": covers}
+    checks = {
+        "disjoint": (first.size == orbit + tau_orbit + w_extended,
+                     np.bincount(line_id)[line_id] > 1),
+        "covers": (covers, np.isin(rows, miscovered).any(axis=1)),
+        "h_lines_through": (
+            through == geometry.h_lines_through(ctx, geometry.decode_point(ctx, codes[0, 0])),
+            np.arange(len(rows)) == 0),
+        "total_lines": (first.size == expected_total, np.zeros(len(rows), dtype=bool))}
+    out = {"pass": all(ok for ok, _ in checks.values()), "total_lines": first.size,
+           "expected_total": expected_total, "w_extended": w_extended, "orbit": orbit,
+           "tau_orbit": tau_orbit, "disjoint": checks["disjoint"][0], "covers": covers}
+    return _with_discrepancy(out, checks, lambda r: (
+        {"line_index": r % n, "rep": lines[r % n].rep} if r < 2 * n
+        else {"line_index": r - 2 * n, "rep": None}))
+
+
+def klein_images(ctx, lines, tau, spreads):
+    """The Klein-side dictionary on every line at once, as four failure counts.
+
+    With w, w' the Klein vectors of m_t and tau m_t, the counts are of the
+    lines whose Pluecker minors are not multiples of w and w'; where qt(w)
+    or qt(w') is not 0; where w + w' is not c W0 with c in GF(q)*; and where
+    the extended lines L whose Klein images K_L (the points of Q(4, q),
+    scaled into the conjugate pattern) are bt-orthogonal to w and w' are
+    not the spread of m_t.  `geometry.klein_map` of m_t0 and of its twin
+    derives the first minors a second time.
+    """
+    m = ctx.mul_arr
+    w, w_prime = (np.array([getattr(hl, k) for hl in lines], dtype=np.int64)
+                  for k in ("w", "w_prime"))
+    both = np.concatenate([w, w_prime])
+    if np.any(both[:, 1::2] != ctx.frob_arr(both[:, 0::2], ctx.h)):  # `_bt` reads the pattern
+        raise StructureError("a Klein vector does not have the conjugate pattern")
+    minors = [geometry.plucker_arr(ctx, R[:, 0], R[:, 1]) for R in
+              (np.array([hl.line for hl in ls], dtype=np.int64) for ls in (lines, tau))]
+    proj = [geometry.normalize_points(ctx, P) for P in (*minors, w, w_prime)]
+    qt = lambda v: m(v[:, 0], v[:, 5]) ^ m(v[:, 1], v[:, 4]) ^ m(v[:, 2], v[:, 3])
+    c = (w ^ w_prime)[:, 2]
+    on_secant = (np.all(w ^ w_prime == m(c[:, None], geometry.W0), axis=1) & (c != 0)
+                 & (ctx.frob_arr(c, ctx.h) == c))
+    R = np.array(geometry.w_line_index(ctx)["lines"], dtype=np.int64)
+    K = geometry.plucker_arr(ctx, R[:, 0], R[:, 1])
+    scale = geometry.pattern_scalars(ctx, K)
+    if not scale.all():
+        raise StructureError(f"Klein image of extended line {int(np.argmin(scale))} "
+                             f"left the pattern space")
+    K = m(scale[:, None], K)[None]
+    perp = np.empty((len(lines), K.shape[1]), dtype=bool)
+    for a in range(0, len(lines), 128):  # blocks of rows keep the temporaries in cache
+        block = slice(a, a + 128)
+        perp[block] = (_bt(ctx, w[block, None], K) == 0) & (_bt(ctx, w_prime[block, None], K) == 0)
+    checks = {name: (not bad.any(), bad) for name, bad in (
+        ("projective_mismatches", np.any((proj[0] != proj[2]) | (proj[1] != proj[3]), axis=1)),
+        ("nonsingular_images", (qt(w) != 0) | (qt(w_prime) != 0)),
+        ("w0_not_on_secant", ~on_secant),
+        ("spread_image_mismatches",
+         np.any(perp != (spread_incidence(ctx, lines, spreads) == 1), axis=1)))}
+    scalar = [geometry.normalize_point(ctx, geometry.klein_map(ctx, ls[0].line))
+              for ls in (lines, tau)]
+    checks["klein_map"] = (scalar == [tuple(P[0].tolist()) for P in proj[:2]],
+                           np.arange(len(lines)) == 0)
+    out = {"pass": all(ok for ok, _ in checks.values()),
+           **{name: int(bad.sum()) for name, (_, bad) in checks.items() if name != "klein_map"}}
+    return _with_discrepancy(out, checks, lambda i: {"line_index": i, "rep": lines[i].rep})
+
+
+def _bt(ctx, U, V):
+    """`geometry.bt` on (..., 6) arrays of conjugate-pattern vectors, broadcast.
+
+    On that pattern bt(u, v) = s + s^q with s = u0 v5 + u2 v3 + u4 v1.
+    """
+    m = ctx.mul_arr
+    s = m(U[..., 0], V[..., 5]) ^ m(U[..., 2], V[..., 3]) ^ m(U[..., 4], V[..., 1])
+    return s ^ ctx.frob_arr(s, ctx.h)
+
+
+def _with_discrepancy(out, checks, locate):
+    """`out`, plus ``first_discrepancy`` = {"line_index", "rep", "check"} when it fails.
+
+    `checks` maps a check's name to (passed, rows that fail it); the
+    discrepancy is the first failing row of the first failed check, placed
+    by `locate(row)`.
+    """
+    if not out["pass"]:
+        check, rows = next((c, r) for c, (ok, r) in checks.items() if not ok)
+        place = locate(int(np.argmax(rows))) if rows.any() else {"line_index": None, "rep": None}
+        out["first_discrepancy"] = {**place, "check": check}
+    return out

@@ -1,0 +1,165 @@
+"""Scalar oracles of the bulk `line_census` and `klein_images` checks.
+
+These enumerate what the bulk checks count: every totally isotropic line
+through every isotropic point (as tuples, `hermitian_points`), and the
+GF(q)-spans and perps of the conjugate-pattern 6-space.  They are exhaustive only at h <= 2.  The
+last helper injects a wrong Klein image into both routes at once.
+"""
+
+import itertools
+from functools import lru_cache
+
+from hxpw import geometry as g
+from hxpw import hemisystem as hs
+
+
+@lru_cache(maxsize=None)
+def hermitian_points(ctx):
+    """All isotropic points as coordinate tuples, in ascending order."""
+    return tuple(g.decode_point(ctx, c) for c in g.hermitian_codes(ctx))
+
+
+# ---------------------------------------------------------------------------
+# the conjugate-pattern 6-space in GF(q) coordinates
+
+def to_vt(ctx, v6):
+    """A scalar multiple of v6 with the conjugate pattern, or None."""
+    for c in ctx.subfield(2 * ctx.h)[1:]:
+        w = tuple(ctx.mul(c, x) for x in v6)
+        if g.is_vt(ctx, w):
+            return w
+    return None
+
+
+def vt_coords(ctx, w):
+    assert g.is_vt(ctx, w), w
+    return tuple(c for x in w[0::2] for c in g.split_q2(ctx, x))
+
+
+def vt_from_coords(ctx, c):
+    x, y, z = (g.join_q2(ctx, c[k], c[k + 1]) for k in (0, 2, 4))
+    fq = ctx.frob_q
+    return (x, fq(x), y, fq(y), z, fq(z))
+
+
+def vt_normalize(ctx, w):
+    """Scale by a GF(q) unit so the first nonzero GF(q)-coordinate is 1."""
+    lead = next((x for x in vt_coords(ctx, w) if x != 0), None)
+    if lead is None:
+        raise ValueError("zero vector")
+    s = ctx.inv(lead)
+    return tuple(ctx.mul(s, x) for x in w)
+
+
+def vt_basis(ctx):
+    return tuple(vt_from_coords(ctx, tuple(int(i == j) for j in range(6))) for i in range(6))
+
+
+def vt_perp(ctx, ws):
+    """Canonical basis (as pattern 6-tuples) of the bt-orthogonal space."""
+    rows = [[g.bt(ctx, w, bv) for bv in vt_basis(ctx)] for w in ws]
+    return [vt_from_coords(ctx, k) for k in g.nullspace(ctx, rows, 6)]
+
+
+def vt_span_points(ctx, ws):
+    """Canonical GF(q)-projective points of the GF(q)-span of ws."""
+    coords, _ = g.rref_rows(ctx, [vt_coords(ctx, w) for w in ws])
+    F = ctx.subfield(ctx.h)
+    k = len(coords)
+    pts = []
+    for lead in range(k):
+        for tail in itertools.product(F, repeat=k - 1 - lead):
+            co = (0,) * lead + (1,) + tail
+            vec = [0] * 6
+            for cf, bs in zip(co[lead:], coords[lead:]):
+                vec = [a ^ ctx.mul(cf, b) for a, b in zip(vec, bs)]
+            pts.append(vt_normalize(ctx, vt_from_coords(ctx, tuple(vec))))
+    return pts
+
+
+def klein_vt(ctx, line):
+    """Canonical pattern-space representative of a line's Klein image."""
+    w = to_vt(ctx, g.klein_map(ctx, line))
+    if w is None:
+        raise RuntimeError(f"Klein image of {line} left the pattern space")
+    return vt_normalize(ctx, w)
+
+
+def parabolic_point_set(ctx):
+    """Klein images of the extended GF(q)-lines (a parabolic quadric)."""
+    return frozenset(klein_vt(ctx, line) for line in g.w_lines(ctx))
+
+
+# ---------------------------------------------------------------------------
+# the two blocks, by enumeration
+
+def line_census(ctx):
+    """`hemisystem.line_census` by enumerating the lines through every point."""
+    all_lines = {line for p in hermitian_points(ctx) for line, _ in g.h_lines_through(ctx, p)}
+    lines = hs.build_hemisystem(ctx)
+    mset = {hl.line for hl in lines}
+    tset = {hs.tau_line(ctx, hl.line) for hl in lines}
+    wset = set(g.w_lines(ctx))
+    q = ctx.q
+    expected_total = (q + 1) * (q ** 3 + 1)
+    disjoint = (not mset & tset) and (not mset & wset) and (not tset & wset)
+    covers = mset | tset | wset == all_lines
+    return {"pass": disjoint and covers and len(all_lines) == expected_total,
+            "total_lines": len(all_lines), "expected_total": expected_total,
+            "w_extended": len(wset), "orbit": len(mset), "tau_orbit": len(tset),
+            "disjoint": disjoint, "covers": covers}
+
+
+def klein_images(ctx, lines, spreads):
+    """`hemisystem.klein_images` through GF(q)-spans and perps, line by line."""
+    norm = lambda v: g.normalize_point(ctx, v)
+    proj_fail = sum(
+        1 for hl in lines
+        if norm(g.klein_map(ctx, hl.line)) != norm(hl.w)
+        or norm(g.klein_map(ctx, hs.tau_line(ctx, hl.line))) != norm(hl.w_prime))
+    q4set = parabolic_point_set(ctx)
+    w0_fail = image_fail = singular_fail = 0
+    for hl in lines:
+        if g.qt(ctx, hl.w) != 0 or g.qt(ctx, hl.w_prime) != 0:
+            singular_fail += 1
+        if vt_normalize(ctx, g.W0) not in vt_span_points(ctx, [hl.w, hl.w_prime]):
+            w0_fail += 1
+        perp = vt_perp(ctx, [hl.w, hl.w_prime])
+        quadric_pts = {p for p in vt_span_points(ctx, perp) if p in q4set}
+        if quadric_pts != {klein_vt(ctx, ln) for ln in spreads[hl.rep]}:
+            image_fail += 1
+    return {"pass": not (proj_fail or w0_fail or image_fail or singular_fail),
+            "projective_mismatches": proj_fail, "w0_not_on_secant": w0_fail,
+            "spread_image_mismatches": image_fail, "nonsingular_images": singular_fail}
+
+
+# ---------------------------------------------------------------------------
+# a Klein-image fault
+
+def perturbed_klein_image(ctx, k):
+    """(extended line k, the pattern multiple of its Klein image plus W0).
+
+    qt(K + W0) = qt(W0) = 1, so the new image lies on no extended line.
+    """
+    line = g.w_line_index(ctx)["lines"][k]
+    image = to_vt(ctx, g.plucker(ctx, *line))
+    return line, tuple(a ^ b for a, b in zip(image, g.W0))
+
+
+def perturb_klein_image(monkeypatch, ctx, k):
+    """Make the Klein image of extended line k the vector of `perturbed_klein_image`,
+    in the bulk minors and in `geometry.klein_map`; returns that line and vector."""
+    line, image = perturbed_klein_image(ctx, k)
+    real_arr, real_map = g.plucker_arr, g.klein_map
+    n_lines = len(g.w_line_index(ctx)["lines"])
+
+    def plucker_arr(ctx, R1, R2):
+        P = real_arr(ctx, R1, R2)
+        if len(P) == n_lines:  # the extended lines, in `w_line_index` order
+            P[k] = ctx.mul_arr(ctx.inv(g.pattern_scalars(ctx, P[k:k + 1])[0]), image)
+        return P
+
+    monkeypatch.setattr(g, "plucker_arr", plucker_arr)
+    monkeypatch.setattr(g, "klein_map", lambda ctx, ln: (
+        g.normalize_point(ctx, image) if ln == line else real_map(ctx, ln)))
+    return line, image

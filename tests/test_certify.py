@@ -12,6 +12,8 @@ from hxpw.fields import tower
 from hxpw.hemisystem import StructureError
 from hxpw.schemes import RelationTable
 
+import scalar_oracles as so
+
 # the package re-exports the function `certify` under the submodule's name
 certify_mod = importlib.import_module("hxpw.certify")
 
@@ -129,9 +131,9 @@ def test_header_fields(cert2):
 
 def test_golden_hashes(cert1, cert2):
     # a change to the hashed content must come with a bump of `format`
-    assert cert1["format"] == cert2["format"] == "hxpw-certificate/4"
-    assert cert1["canonical_sha256"] == "1247031a249dee62578cc49c9f6ce56c77e18e509ec9f83d57d441db37524f9c"
-    assert cert2["canonical_sha256"] == "e3f6fa49869d77adb37f7bf1a33f137fce516830115a8c60ff72ffbe64dfbb9a"
+    assert cert1["format"] == cert2["format"] == "hxpw-certificate/5"
+    assert cert1["canonical_sha256"] == "3ddc45ac5888762de0a53d7733dbb5fe7da667b7944b83ccddccd86377bc855f"
+    assert cert2["canonical_sha256"] == "0833edd1e2e844c413553192055c778ff38c6eecec4ffb3271c91638df84bf58"
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,8 @@ def _raises(exc_type, message):
 FAULTS = {
     "orbit": (hemisystem, "verify_orbit",
               _raises(StructureError, "orbit closure broken"), "orbit closure broken"),
-    "klein_images": (geometry, "to_vt", lambda ctx, v6: None, "left the pattern space"),
+    "klein_images": (geometry, "pattern_scalars", lambda ctx, V: np.zeros(len(V), dtype=np.int64),
+                     "left the pattern space"),
     "line_census": (hemisystem, "line_census",
                     _raises(RuntimeError, "census broken"), "census broken"),
     "equivariance": (hemisystem, "verify_equivariance",
@@ -285,7 +288,6 @@ FAULTS = {
 def test_exception_in_a_block_fails_that_block(block, monkeypatch, tmp_path, capsys):
     module, attr, fake, message = FAULTS[block]
     monkeypatch.setattr(module, attr, fake)
-    geometry.parabolic_point_set.cache_clear()  # a cached set would hide a patched to_vt
     out = tmp_path / "cert.json"
     assert main(["certify", "--h", "2", "--out", str(out)]) == 1
     cert = json.loads(out.read_text())
@@ -372,3 +374,76 @@ def test_corrupted_row_zero_spread_is_caught_by_the_scalar_check(monkeypatch, tm
         "line_index": 0, "rep": pair_reps(tower(2))[0], "scalar_spread_size": 17,
         "bulk_spread_size": 17, "shared_members": 1}
     assert cert["witness"] == {"block": "routes", "geometric": geo}
+
+
+# ---------------------------------------------------------------------------
+# the census and the Klein images
+
+def test_h3_runs_the_census_and_the_klein_images(cert_h3_cli):
+    cert = cert_h3_cli["cert"]
+    assert cert["format"] == "hxpw-certificate/5" and "geometric_seed" not in cert["header"]
+    blocks = cert["blocks"]
+    assert blocks["line_census"] == {
+        "pass": True, "total_lines": 4617, "expected_total": 4617, "w_extended": 585,
+        "orbit": 2016, "tau_orbit": 2016, "disjoint": True, "covers": True}
+    assert blocks["klein_images"] == {
+        "pass": True, "projective_mismatches": 0, "nonsingular_images": 0,
+        "w0_not_on_secant": 0, "spread_image_mismatches": 0}
+    assert blocks["orbit"] == {"skipped": "orbit closure enumerated only at h <= 2"}
+
+
+def test_line_counted_twice_fails_the_census(monkeypatch, tmp_path, capsys):
+    """The census is handed tau(m_k) in place of m_k: that line is counted
+    twice and the points of m_k lose one of their q + 1 lines."""
+    k = 7
+    real = hemisystem.line_census
+    monkeypatch.setattr(hemisystem, "line_census", lambda ctx, lines, tau: real(
+        ctx, lines[:k] + tau[k:k + 1] + lines[k + 1:], tau))
+    cert = _certify_h2_fails(tmp_path, capsys)
+    ctx = tower(2)
+    census = cert["blocks"]["line_census"]
+    assert census == {"pass": False, "total_lines": 324, "expected_total": 325,
+                      "w_extended": 85, "orbit": 120, "tau_orbit": 120, "disjoint": False,
+                      "covers": False, "first_discrepancy": {
+                          "line_index": k, "rep": pair_reps(ctx)[k], "check": "disjoint"}}
+    assert cert["witness"] == {"block": "line_census",
+                               "first_discrepancy": census["first_discrepancy"]}
+    # by hand: row k of the census is the tau twin of m_k, which the twins hold too
+    lines = hemisystem.build_hemisystem(ctx)
+    assert hemisystem.tau_line(ctx, lines[k].line) == hemisystem.tau_lines(ctx, lines)[k].line
+
+
+def test_perturbed_klein_image_fails_klein_images(monkeypatch, tmp_path, capsys):
+    """The Klein image K of extended line 0 is replaced by K + W0."""
+    ctx = tower(2)
+    line, image = so.perturb_klein_image(monkeypatch, ctx, 0)
+    cert = _certify_h2_fails(tmp_path, capsys)
+    # by hand: the lines to which the new image is bt-orthogonal are not those
+    # whose spread holds extended line 0 (24 spreads hold it, and the image
+    # is orthogonal to 32 other lines and to none of those 24)
+    lines = hemisystem.build_hemisystem(ctx)
+    spreads = hemisystem.spread_map(ctx, lines)
+    wrong = [i for i, hl in enumerate(lines)
+             if (geometry.bt(ctx, image, hl.w) == geometry.bt(ctx, image, hl.w_prime) == 0)
+             != (line in spreads[hl.rep])]
+    assert len(wrong) == 56
+    block = cert["blocks"]["klein_images"]
+    assert block == {"pass": False, "projective_mismatches": 0, "nonsingular_images": 0,
+                     "w0_not_on_secant": 0, "spread_image_mismatches": len(wrong),
+                     "first_discrepancy": {"line_index": wrong[0], "rep": lines[wrong[0]].rep,
+                                           "check": "spread_image_mismatches"}}
+    assert cert["witness"] == {"block": "klein_images",
+                               "first_discrepancy": block["first_discrepancy"]}
+
+
+@pytest.mark.parametrize("block, attr", [("line_census", "h_lines_through"),
+                                         ("klein_images", "klein_map")])
+def test_scalar_cross_check_fails_its_block(block, attr, monkeypatch, tmp_path, capsys):
+    """The scalar derivation at line 0 loses its first entry."""
+    real = getattr(geometry, attr)
+    monkeypatch.setattr(geometry, attr, lambda ctx, x: real(ctx, x)[1:])
+    cert = _certify_h2_fails(tmp_path, capsys)
+    first = {"line_index": 0, "rep": pair_reps(tower(2))[0], "check": attr}
+    assert cert["blocks"][block]["first_discrepancy"] == first
+    assert cert["witness"] == {"block": block, "first_discrepancy": first}
+    assert [name for name, b in cert["blocks"].items() if b.get("pass") is False] == [block]

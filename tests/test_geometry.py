@@ -8,6 +8,8 @@ from hxpw import geometry as g
 from hxpw import hemisystem as hs
 from hxpw.fields import tower
 
+import scalar_oracles as so
+
 
 def _random_q2_vec(ctx, rng, width=4):
     F = ctx.subfield(2 * ctx.h)
@@ -72,7 +74,7 @@ def test_hermitian_sesquilinear_symmetry():
 def test_isotropic_point_counts():
     for h, expected in ((1, 45), (2, 1105), (3, 33345)):
         ctx = tower(h)
-        pts = g.hermitian_points(ctx)
+        pts = so.hermitian_points(ctx)
         assert len(pts) == expected
         assert len(set(pts)) == expected
 
@@ -80,7 +82,15 @@ def test_isotropic_point_counts():
 def test_isotropic_enumeration_matches_bruteforce_h1():
     ctx = tower(1)
     brute = {p for p in g.projective_points(ctx, 4) if g.is_isotropic(ctx, p)}
-    assert brute == set(g.hermitian_points(ctx))
+    assert brute == set(so.hermitian_points(ctx))
+
+
+def test_hermitian_codes_match_bruteforce_h2():
+    ctx = tower(2)
+    codes = g.hermitian_codes(ctx)
+    assert np.all(codes[1:] > codes[:-1])
+    brute = [p for p in g.projective_points(ctx, 4) if g.is_isotropic(ctx, p)]
+    assert np.array_equal(codes, np.sort(g.point_codes(ctx, np.array(brute))))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +147,7 @@ def test_h_lines_through_counts():
         ctx = tower(h)
         q = ctx.q
         wset = g.w_point_set(ctx)
-        pts = g.hermitian_points(ctx)
+        pts = so.hermitian_points(ctx)
         sample = pts if h == 1 else random.Random(4).sample(pts, 60)
         for p in sample:
             lt = g.h_lines_through(ctx, p)
@@ -161,7 +171,7 @@ def test_fast_meeting_line_matches_search():
     for h in (1, 2):
         ctx = tower(h)
         wset = g.w_point_set(ctx)
-        pts = [p for p in g.hermitian_points(ctx) if p not in wset]
+        pts = [p for p in so.hermitian_points(ctx) if p not in wset]
         sample = pts if h == 1 else random.Random(9).sample(pts, 80)
         for p in sample:
             expected = [l for l, m in g.h_lines_through(ctx, p) if m]
@@ -252,7 +262,7 @@ def test_w_line_index_covers_external_points_once():
         q = ctx.q
         index = g.w_line_index(ctx)
         wset = g.w_point_set(ctx)
-        external = [p for p in g.hermitian_points(ctx) if p not in wset]
+        external = [p for p in so.hermitian_points(ctx) if p not in wset]
         assert len(external) == (q * q + 1) * (q ** 3 - q)
         codes = g.point_codes(ctx, np.array(external))
         pos = np.searchsorted(index["ext_codes"], codes)
@@ -336,7 +346,7 @@ def _gamma_basis(ctx):
     """Basis of the hyperplane {(x, x^q, c, c, z, z^q) : c in GF(q)}."""
     rows = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
             (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
-    return [g.vt_from_coords(ctx, r) for r in rows]
+    return [so.vt_from_coords(ctx, r) for r in rows]
 
 
 def _in_gamma(ctx, w):
@@ -347,21 +357,21 @@ def _in_gamma(ctx, w):
 def test_perp_of_gamma_is_w0():
     for h in (1, 2):
         ctx = tower(h)
-        perp = g.vt_perp(ctx, _gamma_basis(ctx))
+        perp = so.vt_perp(ctx, _gamma_basis(ctx))
         assert len(perp) == 1
-        assert g.vt_normalize(ctx, perp[0]) == g.W0
+        assert so.vt_normalize(ctx, perp[0]) == g.W0
 
 
 def test_double_perp_h1():
     ctx = tower(1)
-    basis = g.vt_basis(ctx)
+    basis = so.vt_basis(ctx)
     rng = random.Random(17)
     for _ in range(40):
         k = rng.randrange(1, 5)
         ws = [basis[i] for i in rng.sample(range(6), k)]
-        sub, _ = g.rref_rows(ctx, [g.vt_coords(ctx, w) for w in ws])
-        pp = g.vt_perp(ctx, g.vt_perp(ctx, ws))
-        back, _ = g.rref_rows(ctx, [g.vt_coords(ctx, w) for w in pp])
+        sub, _ = g.rref_rows(ctx, [so.vt_coords(ctx, w) for w in ws])
+        pp = so.vt_perp(ctx, so.vt_perp(ctx, ws))
+        back, _ = g.rref_rows(ctx, [so.vt_coords(ctx, w) for w in pp])
         assert back == sub
 
 
@@ -369,7 +379,7 @@ def test_perp_dimension_of_secant_lines():
     ctx = tower(2)
     from hxpw.conic import pair_reps
     for t in pair_reps(ctx):
-        perp = g.vt_perp(ctx, [hs.w_vec(ctx, t), hs.w_prime_vec(ctx, t)])
+        perp = so.vt_perp(ctx, [hs.w_vec(ctx, t), hs.w_prime_vec(ctx, t)])
         assert len(perp) == 4
 
 
@@ -377,7 +387,7 @@ def test_parabolic_quadric_inside_hyperplane():
     for h in (1, 2):
         ctx = tower(h)
         q = ctx.q
-        q4 = g.parabolic_point_set(ctx)
+        q4 = so.parabolic_point_set(ctx)
         assert len(q4) == (q + 1) * (q * q + 1)
         assert all(_in_gamma(ctx, w) for w in q4)
         assert all(g.qt(ctx, w) == 0 for w in q4)
@@ -390,11 +400,11 @@ def test_singular_points_are_exactly_line_images():
     for h in (1, 2):
         ctx = tower(h)
         q = ctx.q
-        singular = {p for p in g.vt_span_points(ctx, list(g.vt_basis(ctx)))
+        singular = {p for p in so.vt_span_points(ctx, list(so.vt_basis(ctx)))
                     if g.qt(ctx, p) == 0}
         assert len(singular) == (q + 1) * (q ** 3 + 1)
         images = set()
-        for p in g.hermitian_points(ctx):
+        for p in so.hermitian_points(ctx):
             for line, _ in g.h_lines_through(ctx, p):
-                images.add(g.klein_vt(ctx, line))
+                images.add(so.klein_vt(ctx, line))
         assert images == singular

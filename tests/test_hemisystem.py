@@ -10,6 +10,8 @@ from hxpw.conic import pair_reps, nu
 from hxpw.fields import tower
 from hxpw.hemisystem import StructureError
 
+import scalar_oracles as so
+
 
 def _hemi_line(ctx, t):
     """m_t through scalar linear algebra: the oracle of `build_hemisystem`."""
@@ -153,7 +155,7 @@ def _cover_oracle(ctx, lines):
         for p in hl.points:
             counts[p] = counts.get(p, 0) + 1
     bad = []
-    for p in g.hermitian_points(ctx):
+    for p in so.hermitian_points(ctx):
         expected = 0 if p in wset else ctx.q // 2
         if counts.get(p, 0) != expected:
             bad.append({"point": list(p), "count": counts.get(p, 0), "expected": expected})
@@ -333,8 +335,8 @@ def test_w0_on_every_secant():
     for h in (1, 2):
         ctx = tower(h)
         for hl in hs.build_hemisystem(ctx):
-            span = g.vt_span_points(ctx, [hl.w, hl.w_prime])
-            assert g.vt_normalize(ctx, g.W0) in span
+            span = so.vt_span_points(ctx, [hl.w, hl.w_prime])
+            assert so.vt_normalize(ctx, g.W0) in span
     # h = 3 algebraic form: w + w' is a nonzero GF(q)-multiple of the pivot
     ctx = tower(3)
     A = hs.klein_arrays(ctx)
@@ -342,17 +344,17 @@ def test_w0_on_every_secant():
 
 
 def test_spread_image_is_perp_section(ctx2, lines_2, spreads_2):
-    q4set = g.parabolic_point_set(ctx2)
+    q4set = so.parabolic_point_set(ctx2)
     for hl in lines_2[:30]:
-        perp = g.vt_perp(ctx2, [hl.w, hl.w_prime])
-        section = {p for p in g.vt_span_points(ctx2, perp) if p in q4set}
-        image = {g.klein_vt(ctx2, ln) for ln in spreads_2[hl.rep]}
+        perp = so.vt_perp(ctx2, [hl.w, hl.w_prime])
+        section = {p for p in so.vt_span_points(ctx2, perp) if p in q4set}
+        image = {so.klein_vt(ctx2, ln) for ln in spreads_2[hl.rep]}
         assert section == image
 
 
 def test_radical_vector_orthogonal_to_plane(ctx2, lines_2):
     rng = random.Random(21)
-    w0 = g.vt_from_coords(ctx2, g.vt_coords(ctx2, g.W0))
+    w0 = so.vt_from_coords(ctx2, so.vt_coords(ctx2, g.W0))
     for _ in range(300):
         la, lb = rng.sample(lines_2, 2)
         trs = _trace_to_base(ctx2, ctx2.mul(la.rep, ctx2.frob_q(la.rep)))
@@ -423,5 +425,47 @@ def test_orbit_closure():
 
 def test_line_census_two_orbits():
     for h in (1, 2):
-        report = hs.line_census(tower(h))
+        ctx = tower(h)
+        lines = hs.build_hemisystem(ctx)
+        report = hs.line_census(ctx, lines, hs.tau_lines(ctx, lines))
         assert report["pass"], report
+
+
+def test_line_census_matches_the_enumeration():
+    for h in (1, 2):
+        ctx = tower(h)
+        lines = hs.build_hemisystem(ctx)
+        assert hs.line_census(ctx, lines, hs.tau_lines(ctx, lines)) == so.line_census(ctx)
+
+
+def _swap_klein_vectors(hl):
+    return hs.HemiLine(hl.rep, hl.line, hl.points, hl.w_prime, hl.w)
+
+
+def _shift_klein_vector(hl):
+    return hs.HemiLine(hl.rep, hl.line, hl.points, tuple(a ^ b for a, b in zip(hl.w, g.W0)),
+                       hl.w_prime)
+
+
+def test_klein_images_match_the_span_oracle(monkeypatch):
+    for h in (1, 2):
+        ctx = tower(h)
+        lines = hs.build_hemisystem(ctx)
+        tau = hs.tau_lines(ctx, lines)
+        spreads = hs.spread_map(ctx, lines)
+        clean = hs.klein_images(ctx, lines, tau, spreads)
+        assert clean["pass"] and clean == so.klein_images(ctx, lines, spreads)
+        for fault in (_swap_klein_vectors, _shift_klein_vector):
+            bad = lines[:3] + (fault(lines[3]),) + lines[4:]
+            faulty = hs.klein_images(ctx, bad, tau, spreads)
+            assert faulty["first_discrepancy"] == {
+                "line_index": 3, "rep": lines[3].rep, "check": "projective_mismatches"}
+            del faulty["first_discrepancy"]
+            assert faulty == so.klein_images(ctx, bad, spreads)
+        with monkeypatch.context() as mp:
+            assert g.qt(ctx, so.perturb_klein_image(mp, ctx, 0)[1]) == 1
+            faulty = hs.klein_images(ctx, lines, tau, spreads)
+            oracle = so.klein_images(ctx, lines, spreads)
+        assert not faulty["pass"] and faulty["spread_image_mismatches"] > 0
+        assert faulty["first_discrepancy"]["check"] == "spread_image_mismatches"
+        assert {k: v for k, v in faulty.items() if k != "first_discrepancy"} == oracle
