@@ -30,9 +30,12 @@ w = geometry.klein_map(ctx, a.line)
 print("\nKlein image of line0 matches its explicit 6-vector:",
       geometry.normalize_point(ctx, w) == geometry.normalize_point(ctx, a.w))
 
-orbit = hemisystem.verify_orbit(ctx)
-print(f"\ngroup orbit closure: size {orbit['orbit_size']} "
+group = hemisystem.verify_automorphisms(ctx)
+orbit = group["orbit"]
+print(f"\ngroup orbit of PGL(2, q^2) on the lines: size {orbit['orbit_size']} "
       f"(= whole hemisystem, twin untouched) ->", orbit["pass"])
+print("three generators commute with theta and keep both forms ->",
+      group["automorphisms"]["pass"])
 
 census = hemisystem.line_census(ctx, lines, hemisystem.tau_lines(ctx, lines))
 print(f"line census: {census['total_lines']} isotropic lines = "

@@ -13,7 +13,7 @@ to have.
 from .certify import canonical_hash, certify
 from .conic import pair_reps, rho, rho_hat, classify, trace_sets
 from .fields import FieldTower, tower
-from .hemisystem import build_hemisystem, verify_hemisystem, verify_orbit
+from .hemisystem import build_hemisystem, verify_automorphisms, verify_hemisystem
 from .schemes import (RelationTable, SchemeAxiomError, expected_p_matrix, fuse,
                       srg_check, verify_scheme)
 
@@ -23,6 +23,6 @@ __all__ = [
     "FieldTower", "RelationTable", "SchemeAxiomError", "build_hemisystem",
     "canonical_hash", "certify", "classify",
     "expected_p_matrix", "fuse", "pair_reps", "rho", "rho_hat", "srg_check",
-    "tower", "trace_sets", "verify_hemisystem", "verify_orbit",
+    "tower", "trace_sets", "verify_automorphisms", "verify_hemisystem",
     "verify_scheme",
 ]

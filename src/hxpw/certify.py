@@ -4,34 +4,37 @@
 set, runs every classification route the package implements, checks the
 structural claims each side must satisfy on its own (hemisystem covering,
 scheme axioms, eigenmatrix, Krein nonnegativity and the cometric ordering,
-the strongly regular fusion, orbit closure, action equivariance), and
+the strongly regular fusion, the group action and its single orbit), and
 assembles one machine-readable certificate dict.
 
 The identity map on pair indices is the certified bijection: the two
 tables must agree entry by entry with class indices preserved, which is
 the strongest possible form of isomorphism.  Equal tables also force the
 fused class-{1,2} graphs to be equal as labeled graphs, so the associated
-strongly regular graphs are isomorphic as a byproduct; the certificate
-records this as a remark.
+strongly regular graphs are isomorphic as a byproduct, and every scheme
+property verified on the hx table holds for the pw table; the certificate
+records this as a remark instead of repeating those blocks.
 
 The checks run as the ordered stages of `STAGES`, and one loop does the
-bookkeeping for all of them.  Every certificate holds the same sixteen
+bookkeeping for all of them.  Every certificate holds the same fourteen
 blocks, each with a `pass` flag or `skipped` with a reason: a stage whose
 predicate on h gives a reason is skipped, an exception inside a stage
 fails that stage's blocks with the exception as the error, and once the
 `routes` block fails every later block is skipped.  Both algebraic routes
-and all three identities are swept over every pair at every h; above
+and all three identities are swept over every pair at every h, and the
+`automorphisms` stage checks PGL(2, q^2) exactly on three generators at
+every h, writing the `orbit` and `automorphisms` blocks.  Above
 TABLE_MAX_H no table is built, so the blocks that read tables are skipped.
 Up to TABLE_MAX_H the geometric route, recorded in `routes.geometric`,
 also classifies every pair, and `tau_consistency`, the line census and the
-Klein images run on the arrays that route builds; only the orbit closure
-is limited to h <= 2.  A failing census or Klein block names its first
-bad line in `first_discrepancy`.
+Klein images run on the arrays that route builds.  A failing census, Klein,
+orbit or automorphisms block names its first bad line, generator or point
+in `first_discrepancy`.
 
-Certificates are deterministic functions of (h, depth, seed), in the
-format `hxpw-certificate/5`; the seed draws only the 100 equivariance
-samples.  Two runs produce byte-identical canonical JSON, and
-`canonical_hash` excludes only the per-stage wall-clock `timings` block.
+Nothing in a certificate is sampled: it is a deterministic function of h,
+in the format `hxpw-certificate/6`.  Two runs produce byte-identical
+canonical JSON, and `canonical_hash` excludes only the per-stage
+wall-clock `timings` block.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .hemisystem import StructureError
 from .schemes import RelationTable, SchemeAxiomError, frac_str
 
 VERSION = "0.1.0"
-# Largest h whose n x n tables are built; above it only sampled depth runs.
+# Largest h whose n x n tables are built; above it only the table-free blocks run.
 TABLE_MAX_H = 3
 # The keys of a failed block that go into the certificate's witness.
 WITNESS_KEYS = ("error", "first_discrepancy", "geometric", "violation_count", "result")
@@ -65,30 +68,18 @@ def canonical_hash(cert: dict) -> str:
     return hashlib.sha256(canonical_json(cert).encode()).hexdigest()
 
 
-def _sha(arr: np.ndarray) -> str:
-    return hashlib.sha256(arr.tobytes()).hexdigest()
-
-
 def _frac_matrix(M):
     return [[frac_str(x) for x in row] for row in M]
 
 
-def certify(h: int, depth: str = "full", seed=None) -> dict:
+def certify(h: int) -> dict:
     """Run every stage of `STAGES` and return the certificate dict."""
-    if depth not in ("full", "sampled"):
-        raise ValueError(f"unknown depth {depth!r}")
-    if depth == "sampled" and seed is None:
-        raise ValueError("sampled depth requires an explicit seed")
-    if h > TABLE_MAX_H and depth != "sampled":
-        raise ValueError(f"h > {TABLE_MAX_H} requires depth=sampled")
-
     t_start = time.perf_counter()
     ctx = tower(h)
     blocks, timings, witness = {}, {}, None
     # what the stages share; the stages fill in the fields that start as None
-    st = SimpleNamespace(ctx=ctx, seed=0 if seed is None else seed, blocks=blocks,
-                         hx=None, lines=None, tau=None, spreads=None, analytics=None,
-                         degenerate=False)
+    st = SimpleNamespace(ctx=ctx, blocks=blocks, hx=None, lines=None, tau=None,
+                         spreads=None, incidence=None, analytics=None, degenerate=False)
     for name, names, skip, run in STAGES:
         reason = "routes failed" if blocks.get("routes", {}).get("pass") is False else skip(h)
         if reason:
@@ -111,11 +102,10 @@ def certify(h: int, depth: str = "full", seed=None) -> dict:
                 k: v for k, v in blocks[failed[0]].items()
                 if k in WITNESS_KEYS and v is not None}}
     cert = {
-        "format": "hxpw-certificate/5",
+        "format": "hxpw-certificate/6",
         "header": {
             "version": VERSION, "h": h, "q": ctx.q, "n": len(pair_reps(ctx)),
             "modulus_hex": hex(ctx.modulus), "omega": ctx.omega,
-            "depth": depth, "seed": seed,
         },
         "blocks": blocks,
         "degenerate": st.degenerate,
@@ -123,7 +113,10 @@ def certify(h: int, depth: str = "full", seed=None) -> dict:
         "witness": witness,
         "remark": ("equal relation tables make every fused class union equal "
                    "as a labeled graph, so the strongly regular graphs "
-                   "obtained by merging classes 1 and 2 are isomorphic too"),
+                   "obtained by merging classes 1 and 2 are isomorphic too; "
+                   "for the same reason the scheme axioms, eigenmatrix and "
+                   "Krein orderings verified on the hx table are those of the "
+                   "pw table, so they are not repeated for it"),
     }
     timings["total_s"] = round(time.perf_counter() - t_start, 3)
     cert["timings"] = timings
@@ -142,10 +135,6 @@ def _tables(h):
     if h > TABLE_MAX_H:
         return f"outside the certified envelope at h > {TABLE_MAX_H}"
     return None
-
-
-def _orbit_skip(h):
-    return "orbit closure enumerated only at h <= 2" if h > 2 else None
 
 
 def _algebraic_routes(st):
@@ -171,6 +160,8 @@ def _algebraic_routes(st):
         return {"identities": {"skipped": "routes failed"},
                 "routes": {"pass": False, "error": str(exc)},
                 "witness": {"block": table, "error": str(exc)}}
+    if st.hx is not None:
+        routes["table_sha256"] = hashlib.sha256(st.hx["table"].tobytes()).hexdigest()
     return {"identities": identities, "routes": routes}
 
 
@@ -178,7 +169,8 @@ def _geometric_route(st):
     """The spread-counting route, recorded inside the `routes` block."""
     st.lines = hemisystem.build_hemisystem(st.ctx)
     st.spreads = hemisystem.spread_map(st.ctx, st.lines)
-    geo = _geometric_agreement(st.ctx, st.hx["table"], st.lines, st.spreads)
+    st.incidence = hemisystem.spread_incidence(st.ctx, st.lines, st.spreads)
+    geo = _geometric_agreement(st.ctx, st.hx["table"], st.lines, st.spreads, st.incidence)
     return {"routes": {**st.blocks["routes"], "pass": geo["pass"], "geometric": geo}}
 
 
@@ -198,29 +190,28 @@ def _tau_consistency(st):
     """The tau-images of the lines subtend the same spreads and the same table."""
     st.tau = hemisystem.tau_lines(st.ctx, st.lines)
     tau_spreads = hemisystem.spread_map(st.ctx, st.tau)
-    same_spreads = tau_spreads == st.spreads
-    tau_table = hemisystem.geometric_table(st.ctx, st.tau, tau_spreads)
-    tau_ok = same_spreads and np.array_equal(tau_table, st.hx["table"])
+    # line by line, so that the twins share the spread incidence of the lines
+    same_spreads = all(tau_spreads[tl.rep] == st.spreads[hl.rep]
+                       for tl, hl in zip(st.tau, st.lines))
+    tau_ok = same_spreads and np.array_equal(
+        hemisystem.geometric_table(st.ctx, st.tau, st.incidence), st.hx["table"])
     return {"tau_consistency": {"pass": tau_ok, "same_subtended_spreads": same_spreads}}
 
 
 def _scheme(st):
-    """Scheme axioms of the hx table, which stand for both tables: the routes
-    block has shown the pw table equal to it, so `scheme_pw` repeats
-    `scheme_hx`."""
+    """Scheme axioms of the hx table, which stand for the pw table: the
+    routes block has shown the two tables equal."""
     table = RelationTable(st.hx["table"], d=3)
     struct = table.structure_report()
     st.degenerate = struct["degenerate"]
     if st.degenerate:
-        reason = f"empty classes {struct['empty_classes']} at q={st.ctx.q}"
-        return {name: {"skipped": reason} for name in ("scheme_hx", "scheme_pw")}
+        return {"scheme_hx": {
+            "skipped": f"empty classes {struct['empty_classes']} at q={st.ctx.q}"}}
     try:
         st.analytics = schemes.verify_scheme(table)
     except SchemeAxiomError as exc:
-        failed = {"pass": False, "error": str(exc), "witness": exc.witness}
-        return {"scheme_hx": failed, "scheme_pw": failed}
-    return {name: {"pass": True, "d": 3, "valencies": st.analytics.valencies}
-            for name in ("scheme_hx", "scheme_pw")}
+        return {"scheme_hx": {"pass": False, "error": str(exc), "witness": exc.witness}}
+    return {"scheme_hx": {"pass": True, "d": 3, "valencies": st.analytics.valencies}}
 
 
 def _spectrum(st):
@@ -236,16 +227,11 @@ def _spectrum(st):
 # first failed block.
 STAGES = (
     ("routes", ("identities", "routes"), _always, _algebraic_routes),
-    ("orbit", ("orbit",), _orbit_skip,
-          lambda st: {"orbit": hemisystem.verify_orbit(st.ctx)}),
-    ("equivariance", ("equivariance",), _always,
-          lambda st: {"equivariance": hemisystem.verify_equivariance(
-              st.ctx, samples=100, seed=st.seed)}),
+    ("automorphisms", ("orbit", "automorphisms"), _always,
+          lambda st: hemisystem.verify_automorphisms(
+              st.ctx, None if st.hx is None else st.hx["fine_table"])),
     ("geometric", ("routes",), _tables, _geometric_route),
     ("class_counts", ("class_counts",), _tables, _class_counts),
-    ("tables_equal", ("tables_equal",), _tables,
-          lambda st: {"tables_equal": {"pass": True, "discrepancies": 0,
-                                       "table_sha256": _sha(st.hx["table"])}}),
     ("hemisystem", ("hemisystem",), _tables,
           lambda st: {"hemisystem": hemisystem.verify_hemisystem(st.ctx, st.lines)}),
     ("tau_consistency", ("tau_consistency",), _tables, _tau_consistency),
@@ -253,21 +239,21 @@ STAGES = (
           lambda st: {"line_census": hemisystem.line_census(st.ctx, st.lines, st.tau)}),
     ("klein_images", ("klein_images",), _tables,
           lambda st: {"klein_images": hemisystem.klein_images(st.ctx, st.lines, st.tau,
-                                                             st.spreads)}),
-    ("scheme", ("scheme_hx", "scheme_pw"), _tables, _scheme),
+                                                             st.incidence)}),
+    ("scheme", ("scheme_hx",), _tables, _scheme),
     ("spectrum", ("eigenmatrix", "krein", "srg"), _tables, _spectrum),
     ("fine", ("fine",), _tables, lambda st: {"fine": _fine_block(st.ctx, st.hx)}),
 )
 
 
-def _geometric_agreement(ctx, table, lines, spreads):
+def _geometric_agreement(ctx, table, lines, spreads, incidence):
     """Compare the spread-counting route against the table on every pair.
 
     Row 0 is derived a second time first, through the scalar linear algebra
     of `geometry.w_meeting_line_through` and `hemisystem.geometric_class`,
     and must match the bulk spread and table row.
     """
-    geo = hemisystem.geometric_table(ctx, lines, spreads)
+    geo = hemisystem.geometric_table(ctx, lines, incidence)
     n = len(lines)
     out = {"pass": True, "mode": "full", "checked": n * (n - 1) // 2}
     first = _row_zero_discrepancy(ctx, geo, lines, spreads)
@@ -296,11 +282,7 @@ def _row_zero_discrepancy(ctx, geo, lines, spreads):
 
 
 def _analytics_blocks(q, an):
-    """The `eigenmatrix`, `krein` and `srg` blocks of the verified hx scheme.
-
-    The routes block has already shown the pw table equal to the hx table,
-    so the cross-table comparisons hold by equality.
-    """
+    """The `eigenmatrix`, `krein` and `srg` blocks of the verified hx scheme."""
     P, Q, mult = an.eigenmatrix()
     match = set(map(tuple, P)) == set(map(tuple, schemes.expected_p_matrix(q)))
     kr = an.krein()
@@ -318,7 +300,6 @@ def _analytics_blocks(q, an):
         "eigenmatrix": {
             "pass": match, "P": _frac_matrix(P), "Q": _frac_matrix(Q),
             "multiplicities": mult, "matches_family_formula": match,
-            "hx_equals_pw": True,
         },
         "krein": {
             "pass": bool(qpoly) and not ppoly and prim["pass"],
@@ -327,7 +308,6 @@ def _analytics_blocks(q, an):
             "nonnegative": True,  # krein() raises otherwise
             "q_polynomial_orderings": qpoly,
             "p_polynomial_orderings": ppoly,
-            "orderings_match_across_tables": True,
             "primitive": prim["pass"],
         },
         "srg": {"pass": bool(srg_ok), "merged_classes": merged,

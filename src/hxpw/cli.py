@@ -3,12 +3,14 @@
 Exit codes follow the 0 / 1 / 2 contract (pass, failed check or empty
 output, usage error).  There is no configuration file; every flag that
 influenced a run is echoed into the output header, so results are
-deterministic functions of the command line alone.
+deterministic functions of the command line alone.  A certificate depends
+on `--h` alone.
 
 `--threads` caps the BLAS pool used by the counting products (results are
 independent of it) when threadpoolctl is installed, and says on stderr that
 it is ignored when it is not; everything else in the pipeline is
-single-threaded numpy and exact arithmetic.
+single-threaded numpy and exact arithmetic.  `certify --depth` is still
+accepted, and says on stderr that it is ignored.
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cert = run_certify(args.h, depth=args.depth, seed=args.seed)
+    if args.depth is not None:
+        print("--depth ignored: every check is exhaustive at every h", file=sys.stderr)
+    cert = run_certify(args.h)
     data = (json.dumps(cert, sort_keys=True, indent=1) + "\n").encode()
     _write_out(args.out, data)
     if cert["verdict"] != "pass":
@@ -201,14 +205,9 @@ def _build_parser():
 
     c = sub.add_parser("certify", help="run the full certification pipeline")
     common(c)
-    c.add_argument("--depth", choices=("full", "sampled"), default="full",
-                   help="selects no check at h <= 3, where every route, the "
-                        "geometric one included, covers every pair either way; "
-                        "h >= 4 requires sampled, which still sweeps every pair "
-                        "(only the 100 equivariance samples are sampled)")
-    c.add_argument("--seed", type=int, default=None,
-                   help="seed of the 100 equivariance samples, the only sampled "
-                        "check (required with --depth sampled)")
+    c.add_argument("--depth", choices=("full", "sampled"), default=None,
+                   help="ignored, with a note on stderr: every check is "
+                        "exhaustive at every h")
 
     e = sub.add_parser("export", help="export a class-union graph or analytics")
     common(e, family=True, fmt=("graph6", "csv", "json"), classes=True)
@@ -224,14 +223,7 @@ def main(argv=None) -> int:
     if args.h < 1:
         print("--h must be a positive integer", file=sys.stderr)
         return 2
-    if args.command == "certify":
-        if args.depth == "sampled" and args.seed is None:
-            print("--depth sampled requires --seed", file=sys.stderr)
-            return 2
-        if args.h >= 4 and args.depth != "sampled":
-            print("--h >= 4 requires --depth sampled", file=sys.stderr)
-            return 2
-    elif args.h >= 4:
+    if args.command != "certify" and args.h >= 4:
         print("table materialization is supported for h <= 3", file=sys.stderr)
         return 2
     try:

@@ -122,13 +122,6 @@ def classify(ctx, s, t) -> int:
     return c
 
 
-def fine_label(ctx, s, t):
-    """The unordered value pair {rho, rho^(-1)}, smaller encoding first."""
-    r = rho(ctx, s, t)
-    ri = ctx.inv(r)
-    return (r, ri) if r <= ri else (ri, r)
-
-
 # ---------------------------------------------------------------------------
 # bulk table construction
 

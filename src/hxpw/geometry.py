@@ -265,14 +265,6 @@ def _check_wvector(ctx, v):
         raise ValueError(f"{v} does not have the (a, x^q, x, b) pattern")
 
 
-def bhat(ctx, u, v):
-    """Alternating GF(q)-form pairing two pattern vectors."""
-    _check_wvector(ctx, u)
-    _check_wvector(ctx, v)
-    m = ctx.mul
-    return m(u[0], v[3]) ^ m(u[3], v[0]) ^ m(u[2], v[1]) ^ m(u[1], v[2])
-
-
 def qhat(ctx, u):
     """Minus-type quadratic form a*b + x^(q+1) on a pattern vector."""
     _check_wvector(ctx, u)

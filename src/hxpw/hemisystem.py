@@ -17,9 +17,9 @@ The scheme on the lines has three faces, all computed here:
 * Klein-algebraic: class 1 when bt(w_s, w_t) = 0, class 2 when
   bt(w_s, w'_t) = 0, class 3 otherwise, where w_t / w'_t are the explicit
   Klein images of m_t / tau(m_t) and bt is the restricted alternating form;
-* group-theoretic: {m_t} is a single orbit under the Kronecker-square
-  embedding chi(g) = g (x) g^[q] of SL(2, q^2), verified by closing the
-  orbit under a generating set at small q.
+* group-theoretic: PGL(2, q^2) acts on the pairs by Moebius maps and on
+  the lines through chi(g) = g (x) g^[q]; `verify_automorphisms` shows on
+  three generators, at every h, that {m_t} is a single orbit.
 
 The radical identity qt(v) = bt(w_s, w_t) * bt(w_s, w'_t), with v the
 radical of the plane spanned by w_s, w0, w_t, ties the first two faces
@@ -63,14 +63,6 @@ def theta(ctx, t):
     return geometry.normalize_point(ctx, theta_vec(ctx, t))
 
 
-def rational_vector(ctx, t, lam):
-    """lam * theta_vec(t) + lam^(q^2) * theta_vec(t^(q^2)), componentwise."""
-    u = theta_vec(ctx, t)
-    uc = tuple(ctx.conj(x) for x in u)
-    lam2 = ctx.conj(lam)
-    return tuple(ctx.mul(lam, a) ^ ctx.mul(lam2, b) for a, b in zip(u, uc))
-
-
 class HemiLine:
     """A hemisystem line together with its Klein-side data."""
 
@@ -106,13 +98,12 @@ def w_prime_vec(ctx, t):
 
 
 def _rational_rows(ctx):
-    """(n, 4) arrays of rational_vector(t, 1) and rational_vector(t, omega)
-    over the pair representatives t."""
-    h = ctx.h
+    """(n, 4) arrays theta(t) + theta(t)^(q^2) and omega theta(t) +
+    omega^(q^2) theta(t)^(q^2) over the pair representatives t: two points
+    spanning m_t."""
     t = np.array(pair_reps(ctx), dtype=np.int64)
-    tq = ctx.frob_arr(t, h)
-    theta = np.stack([np.ones_like(t), tq, t, ctx.mul_arr(t, tq)], axis=1)
-    conj = ctx.frob_arr(theta, 2 * h)
+    theta = _theta_arr(ctx, np.stack([np.ones_like(t), t], axis=1))
+    conj = ctx.frob_arr(theta, 2 * ctx.h)
     om = ctx.omega
     return theta ^ conj, ctx.mul_arr(om, theta) ^ ctx.mul_arr(ctx.conj(om), conj)
 
@@ -161,26 +152,28 @@ def build_hemisystem(ctx, validate=True):
 
 def tau_lines(ctx, lines):
     """The tau images of hemisystem lines, with w and w' exchanged."""
-    rows = ctx.frob_arr(np.array([hl.line for hl in lines], dtype=np.int64), ctx.h)
-    rows = rows[..., [0, 2, 1, 3]]
+    rows = _tau_rows(ctx, np.array([hl.line for hl in lines], dtype=np.int64))
     return _hemi_lines(ctx, [hl.rep for hl in lines], rows[:, 0], rows[:, 1],
                        [hl.w_prime for hl in lines], [hl.w for hl in lines], True)
 
 
+def _tau_rows(ctx, R):
+    """tau, (x1, x2, x3, x4) -> (x1^q, x3^q, x2^q, x4^q), on the (..., 4) rows R."""
+    return ctx.frob_arr(R, ctx.h)[..., [0, 2, 1, 3]]
+
+
 def _line_codes(ctx, lines):
     """(n, q^2 + 1) point codes of the lines, from their canonical rows."""
+    return _line_set_codes(ctx, tuple(lines))
+
+
+@lru_cache(maxsize=2)  # the lines and the tau twins of one certificate
+def _line_set_codes(ctx, lines):
+    # HemiLines hash by identity, so each line set is coded once
     rows = np.array([hl.line for hl in lines], dtype=np.int64)
-    return geometry.point_codes(ctx, geometry.line_points_arr(ctx, rows[:, 0], rows[:, 1]))
-
-
-def tau_point(ctx, p):
-    fq = ctx.frob_q
-    return (fq(p[0]), fq(p[2]), fq(p[1]), fq(p[3]))
-
-
-def tau_line(ctx, line):
-    r1, r2 = line
-    return geometry.line_through(ctx, tau_point(ctx, r1), tau_point(ctx, r2))
+    codes = geometry.point_codes(ctx, geometry.line_points_arr(ctx, rows[:, 0], rows[:, 1]))
+    codes.flags.writeable = False
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +246,16 @@ def geometric_class(ctx, la, lb, spreads):
         f"spreads of reps {la.rep}, {lb.rep} share {k} lines (expected 1 or q+1)")
 
 
-def geometric_table(ctx, lines, spreads=None):
+def geometric_table(ctx, lines, S):
     """The n x n geometric class table, `geometric_class` on every pair at once.
 
     Shared points come from an inverted point -> lines index and shared
-    spread members from S S^T.  StructureError at the first pair in row
-    order where `geometric_class` raises.
+    spread members from S S^T, with S the `spread_incidence` of the lines.
+    StructureError at the first pair in row order where `geometric_class`
+    raises.
     """
-    if spreads is None:
-        spreads = spread_map(ctx, lines)
     n = len(lines)
     shared = _shared_points(_line_codes(ctx, lines))
-    S = spread_incidence(ctx, lines, spreads)
     common = S @ S.T
     bad = (shared > 1) | ((shared == 0) & (common != 1) & (common != ctx.q + 1))
     bad = np.triu(bad, 1)
@@ -401,18 +392,12 @@ def klein_table_bundle(ctx):
 # Kronecker-square group action
 
 def chi_matrix(ctx, g):
-    """4x4 matrix g (x) g^[q] acting on column vectors."""
-    ((a, b), (c, d)) = g
-    if ctx.mul(a, d) ^ ctx.mul(b, c) == 0:
+    """The 4x4 int64 matrix g (x) g^[q], acting on column vectors."""
+    if ctx.mul(g[0][0], g[1][1]) == ctx.mul(g[0][1], g[1][0]):
         raise ValueError("chi needs an invertible 2x2 matrix")
-    gq = ((ctx.frob_q(a), ctx.frob_q(b)), (ctx.frob_q(c), ctx.frob_q(d)))
-    M = [[0] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    M[2 * i + k][2 * j + l] = ctx.mul(g[i][j], gq[k][l])
-    return tuple(tuple(r) for r in M)
+    G = np.array(g, dtype=np.int64)
+    # entry (2i + k, 2j + l) is g[i][j] g[k][l]^q
+    return ctx.mul_arr(G[:, None, :, None], ctx.frob_arr(G, ctx.h)[None, :, None, :]).reshape(4, 4)
 
 
 def apply4(ctx, M, v):
@@ -435,11 +420,6 @@ def moebius(ctx, g, t):
     return INF if den == 0 else ctx.div(num, den)
 
 
-def chi_line_image(ctx, M, line):
-    r1, r2 = line
-    return geometry.line_through(ctx, apply4(ctx, M, r1), apply4(ctx, M, r2))
-
-
 def _random_sl2(ctx, rng):
     F2 = ctx.subfield(2 * ctx.h)
     while True:
@@ -453,7 +433,11 @@ def _random_sl2(ctx, rng):
 
 
 def verify_equivariance(ctx, samples=100, seed=0):
-    """Sampled checks of the commuting action and form preservation."""
+    """Sampled checks of the commuting action and form preservation.
+
+    Kept only for the h = 4 window of `perfbench/layers.py`; `certify` runs
+    `verify_automorphisms`, which checks the same claims exactly.
+    """
     rng = random.Random(seed)
     F2 = ctx.subfield(2 * ctx.h)
     Fq = ctx.subfield(ctx.h)
@@ -481,57 +465,111 @@ def verify_equivariance(ctx, samples=100, seed=0):
             "isometry_failures": isometry_fail}
 
 
-def _gf2_spanning(ctx):
-    """Greedy GF(2)-basis of GF(q^2) from ascending encodings."""
-    span = {0}
-    basis = []
-    for x in ctx.subfield(2 * ctx.h):
-        if x not in span:
-            basis.append(x)
-            span |= {x ^ s for s in span}
-    return basis
+def mobius_generators(ctx):
+    """name -> 2x2 matrix over GF(q^2), for three generators of PGL(2, q^2).
 
-
-def verify_orbit(ctx):
-    """Close {m_omega} under generators of the Kronecker-square group.
-
-    Passes when the closure is exactly the hemisystem of record and never
-    touches its tau twin.  Intended for h <= 2 where the closure is small.
+    lambda = g^(q^2 + 1), with g the generator of GF(q^4)*, is primitive in
+    GF(q^2); with t -> t + 1 and t -> 1/t it generates the group.
     """
-    if ctx.h > 2:
-        raise ValueError("orbit closure is only enumerated at h <= 2")
-    lines = build_hemisystem(ctx)
-    target = {hl.line for hl in lines}
-    twin = {tau_line(ctx, hl.line) for hl in lines}
-    gens = [chi_matrix(ctx, ((1, 0), (a, 1))) for a in _gf2_spanning(ctx)]
-    gens.append(chi_matrix(ctx, ((0, 1), (1, 0))))
-    om = ctx.omega
-    start = geometry.line_through(ctx, rational_vector(ctx, om, 1),
-                                  rational_vector(ctx, om, om))
-    if start not in target:
-        raise StructureError("seed line is not in the hemisystem of record")
-    seen = {start}
-    frontier = [start]
-    escaped = []
-    while frontier:
-        nxt = []
-        for line in frontier:
-            for M in gens:
-                img = chi_line_image(ctx, M, line)
-                if img in seen:
-                    continue
-                if img not in target:
-                    escaped.append(img)
-                    continue
-                if any(geometry.is_w_point(ctx, p) for p in geometry.line_points(ctx, img)):
-                    escaped.append(img)
-                    continue
-                seen.add(img)
-                nxt.append(img)
-        frontier = nxt
-    ok = not escaped and seen == target and not (seen & twin)
-    return {"pass": ok, "orbit_size": len(seen), "expected": len(target),
-            "escaped": len(escaped)}
+    lam = 1
+    for _ in range(ctx.q2 + 1):
+        lam = ctx.mul(lam, ctx.generator)
+    return {"t -> lambda t": ((1, 0), (0, lam)), "t -> t + 1": ((1, 0), (1, 1)),
+            "t -> 1/t": ((0, 1), (1, 0))}
+
+
+def _matmul(ctx, A, B):
+    """The matrix product A B over the field, for (k, m) and (m, l) arrays."""
+    return np.bitwise_xor.reduce(ctx.mul_arr(A[:, :, None], B[None, :, :]), axis=1)
+
+
+def _theta_arr(ctx, X):
+    """theta of the (k, 2) homogeneous points X: the rows X[i] (x) X[i]^[q]."""
+    return ctx.mul_arr(X[:, [0, 0, 1, 1]], ctx.frob_arr(X, ctx.h)[:, [0, 1, 0, 1]])
+
+
+def verify_automorphisms(ctx, table=None):
+    """The `orbit` and `automorphisms` blocks: PGL(2, q^2), checked exactly on
+    the `mobius_generators`.
+
+    For each generator g, with M = chi_matrix(g) and pi_g the permutation
+    t -> g.t of the pair indices, it counts the failures of (a) M theta(x)
+    proportional to theta(g x) on all q^4 + 1 points x of PG(1, q^4); (b)
+    M^T H M^[q] = c H, c != 0, with H the Gram matrix of the hermitian form,
+    and M J = J M^[q], with J the swap of the middle coordinates, so M keeps
+    the W(3, q) vectors v = J v^[q]; (d) M m_t = m_{pi_g t} (the orbit's
+    `escaped`) and M tau m_t = tau m_{pi_g t}, on canonical rows; (e) with
+    the fine `table`, table[pi_g][:, pi_g] = table.  (c) the orbit of index 0
+    under the pi_g must be all n indices.  What every generator does the
+    group does, so {m_t} is one orbit that never reaches a tau twin, and the
+    table is invariant.  A failing block names the first failing generator
+    and point or index, or (`transitive`) an index outside the orbit.
+    """
+    reps = np.array(pair_reps(ctx), dtype=np.int64)
+    n, h = reps.size, ctx.h
+    X = np.stack([np.append(np.ones(ctx.size, dtype=np.int64), 0),
+                  np.append(np.arange(ctx.size), 1)], axis=1)  # PG(1, q^4), inf last
+    theta_X = _theta_arr(ctx, X)
+    canon = lambda R1, R2: geometry.join_rows(ctx, geometry.normalize_points(ctx, R1),
+                                              geometry.normalize_points(ctx, R2))
+    R = _rational_rows(ctx)
+    rows = {"lines": R, "twins": tuple(_tau_rows(ctx, r) for r in R)}
+    canonical = {k: canon(*r) for k, r in rows.items()}
+    H, swap = np.eye(4, dtype=np.int64)[[3, 1, 2, 0]], [0, 2, 1, 3]
+    gens = mobius_generators(ctx)
+    bad, perms = {}, []  # check -> per generator, where it fails
+    for name, g in gens.items():
+        G, M = np.array(g, dtype=np.int64), chi_matrix(ctx, g)
+        Mq = ctx.frob_arr(M, h)
+        u = _matmul(ctx, X[reps], G.T)
+        t = ctx.div_arr(u[:, 1], u[:, 0])
+        pi, found = geometry.lookup(reps, np.minimum(t, ctx.frob_arr(t, 2 * h)))
+        if not found.all() or np.unique(pi).size != n:
+            raise StructureError(f"{name} does not permute the conjugate pairs")
+        perms.append(pi)
+        form = _matmul(ctx, _matmul(ctx, M.T, H), Mq)
+        fails = {"diagram": np.any(
+                     geometry.normalize_points(ctx, _matmul(ctx, theta_X, M.T))
+                     != geometry.normalize_points(ctx, _theta_arr(ctx, _matmul(ctx, X, G.T))),
+                     axis=1),
+                 "form": [form[0, 3] == 0 or np.any(form != ctx.mul_arr(form[0, 3], H))],
+                 "symplectic": [np.any(M[:, swap] != Mq[swap])],
+                 **{k: np.any(canon(_matmul(ctx, R1, M.T), _matmul(ctx, R2, M.T))
+                              != canonical[k][pi], axis=(1, 2)) for k, (R1, R2) in rows.items()}}
+        if table is not None:
+            fails["table"] = np.any(table.take(pi, 0).take(pi, 1) != table, axis=1)
+        for check, mask in fails.items():
+            bad.setdefault(check, []).append(mask)
+    bad = {check: np.array(masks, dtype=bool) for check, masks in bad.items()}
+    count = {check: int(mask.sum()) for check, mask in bad.items()}
+
+    def first(check):
+        k, i = (int(x) for x in np.argwhere(bad[check])[0])
+        at = ({"point": i if i < ctx.size else INF} if check == "diagram" else
+              {} if check in ("form", "symplectic") else {"index": i, "rep": int(reps[i])})
+        return {"generator": list(gens)[k], "check": check, **at}
+
+    reached = np.zeros(n, dtype=bool)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached[frontier] = True
+        image = np.concatenate([pi[frontier] for pi in perms])
+        frontier = np.unique(image[~reached[image]])
+    generators = {name: [list(r) for r in g] for name, g in gens.items()}
+    orbit = {"pass": bool(reached.all()) and not count["lines"],
+             "orbit_size": int(reached.sum()), "expected": n, "escaped": count["lines"]}
+    if not orbit["pass"]:
+        i = int(np.argmin(reached))
+        orbit["first_discrepancy"] = first("lines") if count["lines"] else {
+            "check": "transitive", "index": i, "rep": int(reps[i]), "generators": generators}
+    checks = [c for c in ("diagram", "form", "symplectic", "twins", "table") if c in count]
+    auto = {"pass": not any(count[c] for c in checks), "generators": generators,
+            "points": ctx.size + 1, "diagram_failures": count["diagram"],
+            "form_failures": count["form"], "symplectic_failures": count["symplectic"],
+            "twin_failures": count["twins"], "table_failures": count.get("table", "skipped")}
+    if not auto["pass"]:
+        auto["first_discrepancy"] = first(next(c for c in checks if count[c]))
+    return {"orbit": orbit, "automorphisms": auto}
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +616,7 @@ def line_census(ctx, lines, tau):
         else {"line_index": r - 2 * n, "rep": None}))
 
 
-def klein_images(ctx, lines, tau, spreads):
+def klein_images(ctx, lines, tau, S):
     """The Klein-side dictionary on every line at once, as four failure counts.
 
     With w, w' the Klein vectors of m_t and tau m_t, the counts are of the
@@ -586,8 +624,9 @@ def klein_images(ctx, lines, tau, spreads):
     or qt(w') is not 0; where w + w' is not c W0 with c in GF(q)*; and where
     the extended lines L whose Klein images K_L (the points of Q(4, q),
     scaled into the conjugate pattern) are bt-orthogonal to w and w' are
-    not the spread of m_t.  `geometry.klein_map` of m_t0 and of its twin
-    derives the first minors a second time.
+    not the spread of m_t, read off the `spread_incidence` S of the lines.
+    `geometry.klein_map` of m_t0 and of its twin derives the first minors a
+    second time.
     """
     m = ctx.mul_arr
     w, w_prime = (np.array([getattr(hl, k) for hl in lines], dtype=np.int64)
@@ -618,7 +657,7 @@ def klein_images(ctx, lines, tau, spreads):
         ("nonsingular_images", (qt(w) != 0) | (qt(w_prime) != 0)),
         ("w0_not_on_secant", ~on_secant),
         ("spread_image_mismatches",
-         np.any(perp != (spread_incidence(ctx, lines, spreads) == 1), axis=1)))}
+         np.any(perp != (S == 1), axis=1)))}
     scalar = [geometry.normalize_point(ctx, geometry.klein_map(ctx, ls[0].line))
               for ls in (lines, tau)]
     checks["klein_map"] = (scalar == [tuple(P[0].tolist()) for P in proj[:2]],

@@ -1,16 +1,69 @@
-"""Scalar oracles of the bulk `line_census` and `klein_images` checks.
+"""Scalar oracles of the bulk checks.
 
-These enumerate what the bulk checks count: every totally isotropic line
-through every isotropic point (as tuples, `hermitian_points`), and the
-GF(q)-spans and perps of the conjugate-pattern 6-space.  They are exhaustive only at h <= 2.  The
-last helper injects a wrong Klein image into both routes at once.
+The first helpers are the scalar definitions the bulk code is tested
+against: the fine label of a pair, the symplectic form on pattern vectors,
+the rational points spanning m_t, the involution tau and the orbit of a
+pair under Moebius maps.  The rest
+enumerate what the bulk `line_census` and `klein_images` count: every
+totally isotropic line through every isotropic point (as tuples,
+`hermitian_points`), and the GF(q)-spans and perps of the
+conjugate-pattern 6-space.  They are exhaustive only at h <= 2.  The last
+helper injects a wrong Klein image into both routes at once.
 """
 
 import itertools
 from functools import lru_cache
 
+from hxpw import conic
 from hxpw import geometry as g
 from hxpw import hemisystem as hs
+
+
+def fine_label(ctx, s, t):
+    """The unordered value pair {rho, rho^(-1)}, smaller encoding first."""
+    r = conic.rho(ctx, s, t)
+    ri = ctx.inv(r)
+    return (r, ri) if r <= ri else (ri, r)
+
+
+def bhat(ctx, u, v):
+    """Alternating GF(q)-form pairing two pattern vectors."""
+    for w in (u, v):
+        if not g.is_wvector(ctx, w):
+            raise ValueError(f"{w} does not have the (a, x^q, x, b) pattern")
+    m = ctx.mul
+    return m(u[0], v[3]) ^ m(u[3], v[0]) ^ m(u[2], v[1]) ^ m(u[1], v[2])
+
+
+def rational_vector(ctx, t, lam):
+    """lam * theta_vec(t) + lam^(q^2) * theta_vec(t^(q^2)), componentwise."""
+    u = hs.theta_vec(ctx, t)
+    uc = tuple(ctx.conj(x) for x in u)
+    lam2 = ctx.conj(lam)
+    return tuple(ctx.mul(lam, a) ^ ctx.mul(lam2, b) for a, b in zip(u, uc))
+
+
+def tau_point(ctx, p):
+    fq = ctx.frob_q
+    return (fq(p[0]), fq(p[2]), fq(p[1]), fq(p[3]))
+
+
+def tau_line(ctx, line):
+    r1, r2 = line
+    return g.line_through(ctx, tau_point(ctx, r1), tau_point(ctx, r2))
+
+
+def moebius_orbit(ctx, generators):
+    """The pair indices reached from index 0 by the Moebius maps, by scalar `moebius`."""
+    reps = conic.pair_reps(ctx)
+    index = {t: i for i, t in enumerate(reps)}
+    seen, frontier = {0}, [0]
+    while frontier:
+        images = {index[min(u, ctx.conj(u))] for i in frontier for g_ in generators
+                  for u in [hs.moebius(ctx, g_, reps[i])]}
+        frontier = list(images - seen)
+        seen |= images
+    return seen
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +151,7 @@ def line_census(ctx):
     all_lines = {line for p in hermitian_points(ctx) for line, _ in g.h_lines_through(ctx, p)}
     lines = hs.build_hemisystem(ctx)
     mset = {hl.line for hl in lines}
-    tset = {hs.tau_line(ctx, hl.line) for hl in lines}
+    tset = {tau_line(ctx, hl.line) for hl in lines}
     wset = set(g.w_lines(ctx))
     q = ctx.q
     expected_total = (q + 1) * (q ** 3 + 1)
@@ -116,7 +169,7 @@ def klein_images(ctx, lines, spreads):
     proj_fail = sum(
         1 for hl in lines
         if norm(g.klein_map(ctx, hl.line)) != norm(hl.w)
-        or norm(g.klein_map(ctx, hs.tau_line(ctx, hl.line))) != norm(hl.w_prime))
+        or norm(g.klein_map(ctx, tau_line(ctx, hl.line))) != norm(hl.w_prime))
     q4set = parabolic_point_set(ctx)
     w0_fail = image_fail = singular_fail = 0
     for hl in lines:

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import inspect
 import json
 
 import numpy as np
@@ -48,7 +50,8 @@ def test_h2_verifies_the_3_class_table_once(cert2_run):
     cert, calls = cert2_run
     assert cert["verdict"] == "pass"
     assert calls.count(3) == 1
-    assert cert["blocks"]["scheme_pw"] == cert["blocks"]["scheme_hx"]
+    # the pw table is the hx table (routes), so its scheme is not verified again
+    assert cert["blocks"]["routes"]["pass"] and "scheme_pw" not in cert["blocks"]
 
 
 def test_srg_block_matches_srg_check(cert2, cert_h3_cli, hx_bundle_2, hx_bundle_3):
@@ -112,28 +115,25 @@ def test_certificate_json_serializable(cert1, cert2):
         json.dumps(cert)
 
 
-def test_depth_validation():
-    with pytest.raises(ValueError):
-        certify(2, depth="sampled")  # missing seed
-    with pytest.raises(ValueError):
-        certify(4, depth="full")
-    with pytest.raises(ValueError):
-        certify(2, depth="bogus")
+def test_certificate_depends_on_h_alone():
+    assert list(inspect.signature(certify).parameters) == ["h"]
+    with pytest.raises(TypeError):
+        certify(2, depth="full")
 
 
 def test_header_fields(cert2):
     h = cert2["header"]
+    assert set(h) == {"version", "h", "q", "n", "modulus_hex", "omega"}
     assert h["h"] == 2 and h["q"] == 4 and h["n"] == 120
     assert h["modulus_hex"] == "0x11b"
-    assert h["depth"] == "full"
     assert cert2["canonical_sha256"] == canonical_hash(cert2)
 
 
 def test_golden_hashes(cert1, cert2):
     # a change to the hashed content must come with a bump of `format`
-    assert cert1["format"] == cert2["format"] == "hxpw-certificate/5"
-    assert cert1["canonical_sha256"] == "3ddc45ac5888762de0a53d7733dbb5fe7da667b7944b83ccddccd86377bc855f"
-    assert cert2["canonical_sha256"] == "0833edd1e2e844c413553192055c778ff38c6eecec4ffb3271c91638df84bf58"
+    assert cert1["format"] == cert2["format"] == "hxpw-certificate/6"
+    assert cert1["canonical_sha256"] == "a2db9c07b1dd9c6ce4bff3662a3d52596627cb66d76f969c5210f82d4ef7d6e6"
+    assert cert2["canonical_sha256"] == "27670a3103447bed5d7cd638d29d74dc912cba67e981b9ee176ada2904ffb845"
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,10 @@ def test_sweep_blocks_match_table_path(cert2, cert_h3_cli):
         routes, identities = certify_mod._route_blocks(
             ctx, certify_mod._classified_chunks(ctx))
         assert identities == cert["blocks"]["identities"]
-        assert routes == {**cert["blocks"]["routes"], "geometric": None}
+        table_routes = dict(cert["blocks"]["routes"], geometric=None)
+        assert table_routes.pop("table_sha256") == hashlib.sha256(
+            conic.table_bundle(ctx)["table"].tobytes()).hexdigest()
+        assert routes == table_routes
 
 
 def _both_paths(monkeypatch, tmp_path, h):
@@ -154,11 +157,10 @@ def _both_paths(monkeypatch, tmp_path, h):
     Returns [(exit code, certificate)] for each path.
     """
     runs = []
-    for max_h, argv in ((certify_mod.TABLE_MAX_H, []),
-                        (h - 1, ["--depth", "sampled", "--seed", "0"])):
+    for max_h in (certify_mod.TABLE_MAX_H, h - 1):
         monkeypatch.setattr(certify_mod, "TABLE_MAX_H", max_h)
         out = tmp_path / f"cert_{max_h}.json"
-        code = main(["certify", "--h", str(h), "--out", str(out), *argv])
+        code = main(["certify", "--h", str(h), "--out", str(out)])
         runs.append((code, json.loads(out.read_text())))
     return runs
 
@@ -223,10 +225,9 @@ def test_rho_one_fails_without_traceback(monkeypatch, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # the block runner
 
-BLOCKS = {"routes", "identities", "class_counts", "tables_equal", "hemisystem",
-          "line_census", "tau_consistency", "klein_images", "scheme_hx",
-          "scheme_pw", "eigenmatrix", "krein", "srg", "fine", "orbit",
-          "equivariance"}
+BLOCKS = {"routes", "identities", "class_counts", "hemisystem", "line_census",
+          "tau_consistency", "klein_images", "scheme_hx", "eigenmatrix", "krein",
+          "srg", "fine", "orbit", "automorphisms"}
 
 
 def _assert_layout(cert):
@@ -240,9 +241,13 @@ def test_every_certificate_has_every_block(cert1, cert2, cert_h3_cli, monkeypatc
         _assert_layout(cert)
     monkeypatch.setattr(certify_mod, "TABLE_MAX_H", 1)
     out = tmp_path / "sweep.json"
-    assert main(["certify", "--h", "2", "--out", str(out),
-                 "--depth", "sampled", "--seed", "0"]) == 0
-    _assert_layout(json.loads(out.read_text()))
+    assert main(["certify", "--h", "2", "--out", str(out)]) == 0
+    sweep = json.loads(out.read_text())
+    _assert_layout(sweep)
+    # the group is checked without tables too
+    assert sweep["blocks"]["orbit"] == cert2["blocks"]["orbit"]
+    assert sweep["blocks"]["automorphisms"] == {
+        **cert2["blocks"]["automorphisms"], "table_failures": "skipped"}
 
 
 def test_blocks_after_failed_routes_are_skipped(monkeypatch, tmp_path):
@@ -273,14 +278,12 @@ def _raises(exc_type, message):
 
 # block -> (module, attribute, replacement, text the witness must carry)
 FAULTS = {
-    "orbit": (hemisystem, "verify_orbit",
+    "orbit": (hemisystem, "verify_automorphisms",
               _raises(StructureError, "orbit closure broken"), "orbit closure broken"),
     "klein_images": (geometry, "pattern_scalars", lambda ctx, V: np.zeros(len(V), dtype=np.int64),
                      "left the pattern space"),
     "line_census": (hemisystem, "line_census",
                     _raises(RuntimeError, "census broken"), "census broken"),
-    "equivariance": (hemisystem, "verify_equivariance",
-                     _raises(ValueError, "equivariance broken"), "equivariance broken"),
 }
 
 
@@ -296,6 +299,8 @@ def test_exception_in_a_block_fails_that_block(block, monkeypatch, tmp_path, cap
     witness = cert["witness"]
     assert witness["block"] == block and message in witness["error"]
     assert cert["blocks"][block] == {"pass": False, "error": witness["error"]}
+    if block == "orbit":  # the automorphisms stage writes both blocks
+        assert cert["blocks"]["automorphisms"] == cert["blocks"]["orbit"]
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -343,8 +348,8 @@ def test_flipped_geometric_entry_names_the_pair(monkeypatch, tmp_path, capsys):
     i, j = _class_2_pair(tower(2))
     real = hemisystem.geometric_table
 
-    def flipped(ctx, lines, spreads=None):
-        table = real(ctx, lines, spreads)
+    def flipped(ctx, lines, S):
+        table = real(ctx, lines, S)
         table[i, j] = table[j, i] = 3
         return table
 
@@ -381,7 +386,7 @@ def test_corrupted_row_zero_spread_is_caught_by_the_scalar_check(monkeypatch, tm
 
 def test_h3_runs_the_census_and_the_klein_images(cert_h3_cli):
     cert = cert_h3_cli["cert"]
-    assert cert["format"] == "hxpw-certificate/5" and "geometric_seed" not in cert["header"]
+    assert cert["format"] == "hxpw-certificate/6" and "seed" not in cert["header"]
     blocks = cert["blocks"]
     assert blocks["line_census"] == {
         "pass": True, "total_lines": 4617, "expected_total": 4617, "w_extended": 585,
@@ -389,7 +394,7 @@ def test_h3_runs_the_census_and_the_klein_images(cert_h3_cli):
     assert blocks["klein_images"] == {
         "pass": True, "projective_mismatches": 0, "nonsingular_images": 0,
         "w0_not_on_secant": 0, "spread_image_mismatches": 0}
-    assert blocks["orbit"] == {"skipped": "orbit closure enumerated only at h <= 2"}
+    assert blocks["orbit"] == {"pass": True, "orbit_size": 2016, "expected": 2016, "escaped": 0}
 
 
 def test_line_counted_twice_fails_the_census(monkeypatch, tmp_path, capsys):
@@ -410,7 +415,7 @@ def test_line_counted_twice_fails_the_census(monkeypatch, tmp_path, capsys):
                                "first_discrepancy": census["first_discrepancy"]}
     # by hand: row k of the census is the tau twin of m_k, which the twins hold too
     lines = hemisystem.build_hemisystem(ctx)
-    assert hemisystem.tau_line(ctx, lines[k].line) == hemisystem.tau_lines(ctx, lines)[k].line
+    assert so.tau_line(ctx, lines[k].line) == hemisystem.tau_lines(ctx, lines)[k].line
 
 
 def test_perturbed_klein_image_fails_klein_images(monkeypatch, tmp_path, capsys):
@@ -447,3 +452,146 @@ def test_scalar_cross_check_fails_its_block(block, attr, monkeypatch, tmp_path, 
     assert cert["blocks"][block]["first_discrepancy"] == first
     assert cert["witness"] == {"block": block, "first_discrepancy": first}
     assert [name for name, b in cert["blocks"].items() if b.get("pass") is False] == [block]
+
+
+# ---------------------------------------------------------------------------
+# faults in the group action
+
+def test_non_primitive_lambda_is_not_transitive(monkeypatch, tmp_path, capsys):
+    ctx = tower(2)
+    lam = ctx.subfield(ctx.h)[2]  # in GF(q), so of order dividing q - 1
+    real = hemisystem.mobius_generators
+    gens = {**real(ctx), "t -> lambda t": ((1, 0), (0, lam))}
+    monkeypatch.setattr(hemisystem, "mobius_generators", lambda ctx: gens)
+    cert = _certify_h2_fails(tmp_path, capsys)
+    orbit = so.moebius_orbit(ctx, gens.values())
+    assert len(orbit) < 120
+    outside = min(set(range(120)) - orbit)
+    first = {"check": "transitive", "index": outside, "rep": pair_reps(ctx)[outside],
+             "generators": {name: [list(r) for r in g] for name, g in gens.items()}}
+    assert cert["blocks"]["orbit"] == {"pass": False, "orbit_size": len(orbit), "expected": 120,
+                                       "escaped": 0, "first_discrepancy": first}
+    assert cert["witness"] == {"block": "orbit", "first_discrepancy": first}
+    assert [name for name, b in cert["blocks"].items() if b.get("pass") is False] == ["orbit"]
+
+
+def test_chi_without_frobenius_fails_the_diagram(monkeypatch, tmp_path, capsys):
+    """chi(g) = g (x) g: right for the generators over GF(2), wrong for lambda."""
+    ctx = tower(2)
+
+    def g_tensor_g(ctx, g):
+        G = np.array(g, dtype=np.int64)
+        return ctx.mul_arr(G[:, None, :, None], G[None, :, None, :]).reshape(4, 4)
+
+    monkeypatch.setattr(hemisystem, "chi_matrix", g_tensor_g)
+    cert = _certify_h2_fails(tmp_path, capsys)
+    auto = cert["blocks"]["automorphisms"]
+    assert (auto["form_failures"], auto["symplectic_failures"]) == (1, 1)
+    assert auto["twin_failures"] == cert["blocks"]["orbit"]["escaped"] == 120
+    # by hand: theta(t) = (1, t^q, t, t^(q+1)) goes to (1, lam t^q, lam t,
+    # lam^2 t^(q+1)), which is theta(lam t) = (1, lam^q t^q, lam t, lam^(q+1) t^(q+1))
+    # only at t = 0, as lam^q != lam; t = inf is fixed
+    lam = hemisystem.mobius_generators(ctx)["t -> lambda t"][1][1]
+    assert ctx.frob_q(lam) != lam
+    assert auto["diagram_failures"] == ctx.size - 1
+    assert auto["first_discrepancy"] == {"generator": "t -> lambda t", "check": "diagram",
+                                         "point": 1}
+    assert cert["witness"] == {"block": "orbit",
+                               "first_discrepancy": cert["blocks"]["orbit"]["first_discrepancy"]}
+    assert cert["witness"]["first_discrepancy"] == {
+        "generator": "t -> lambda t", "check": "lines", "index": 0, "rep": pair_reps(ctx)[0]}
+
+
+def test_line_swapped_for_its_twin_fails_the_line_mapping(monkeypatch, tmp_path, capsys):
+    ctx, k = tower(2), 7
+    hemisystem.build_hemisystem(ctx)  # the lines of record stay as they are
+    real = hemisystem._rational_rows
+
+    def swapped(ctx):
+        R1, R2 = (R.copy() for R in real(ctx))
+        R1[k], R2[k] = hemisystem._tau_rows(ctx, R1[k]), hemisystem._tau_rows(ctx, R2[k])
+        return R1, R2
+
+    monkeypatch.setattr(hemisystem, "_rational_rows", swapped)
+    cert = _certify_h2_fails(tmp_path, capsys)
+    failed = {name for name, b in cert["blocks"].items() if b.get("pass") is False}
+    assert failed == {"orbit", "automorphisms"}
+    first = cert["blocks"]["orbit"]["first_discrepancy"]
+    assert cert["witness"] == {"block": "orbit", "first_discrepancy": first}
+    # by hand: generator g moves row i off the line of record at pi_g(i), and i
+    # is k or a preimage of k
+    g = hemisystem.mobius_generators(ctx)[first["generator"]]
+    reps = pair_reps(ctx)
+    u = hemisystem.moebius(ctx, g, first["rep"])
+    image = reps.index(min(u, ctx.conj(u)))
+    assert first["check"] == "lines" and k in (first["index"], image)
+    assert cert["blocks"]["automorphisms"]["twin_failures"] > 0
+
+
+# ---------------------------------------------------------------------------
+# value faults in the table-reading blocks
+
+def _swap_two_twins(monkeypatch):
+    real = hemisystem.tau_lines
+    monkeypatch.setattr(hemisystem, "tau_lines", lambda ctx, lines: (
+        lambda tau: tau[:3] + (tau[4], tau[3]) + tau[5:])(real(ctx, lines)))
+
+
+def _asymmetric_hx_entry(monkeypatch):
+    real = certify_mod.RelationTable
+
+    def table(classes, d):
+        if d == 3:  # the hx table; the fine table has more classes
+            classes = classes.copy()
+            classes[1, 0] = classes[1, 0] % 3 + 1
+        return real(classes, d=d)
+
+    monkeypatch.setattr(certify_mod, "RelationTable", table)
+
+
+def _wrong_expected_p(monkeypatch):
+    real = schemes.expected_p_matrix
+
+    def wrong(q):
+        P = [list(row) for row in real(q)]
+        P[1][1] += 1
+        return P
+
+    monkeypatch.setattr(schemes, "expected_p_matrix", wrong)
+
+
+def _merged_fine_labels(monkeypatch):
+    real = conic.table_bundle
+
+    def merged(ctx):
+        """Fine label b joins label a of the same coarse class; the labels above
+        b move down one."""
+        hx = real(ctx)
+        f2c = hx["fine_to_coarse"]
+        a, b = next((a, b) for a in f2c for b in f2c if a < b and f2c[a] == f2c[b])
+        fine = hx["fine_table"].copy()
+        fine[fine == b] = a
+        fine[fine > b] -= 1
+        return {**hx, "fine_table": fine,
+                "fine_to_coarse": {k - (k > b): c for k, c in f2c.items() if k != b}}
+
+    monkeypatch.setattr(conic, "table_bundle", merged)
+
+
+def _false_identity_flag(monkeypatch):
+    real = hemisystem.klein_classify_pairs
+    monkeypatch.setattr(hemisystem, "klein_classify_pairs", lambda ctx, A, si, ti: (
+        real(ctx, A, si, ti)[0], real(ctx, A, si, ti)[1], False))
+
+
+VALUE_FAULTS = {"tau_consistency": _swap_two_twins, "scheme_hx": _asymmetric_hx_entry,
+                "eigenmatrix": _wrong_expected_p, "fine": _merged_fine_labels,
+                "identities": _false_identity_flag}
+
+
+@pytest.mark.parametrize("block", VALUE_FAULTS)
+def test_value_fault_fails_its_block(block, monkeypatch, tmp_path, capsys):
+    VALUE_FAULTS[block](monkeypatch)
+    cert = _certify_h2_fails(tmp_path, capsys)
+    assert cert["witness"]["block"] == block
+    assert cert["blocks"][block]["pass"] is False

@@ -6,6 +6,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from hxpw import cli
+from hxpw.certify import canonical_json
 from hxpw.cli import graph6_bytes, main
 
 
@@ -50,10 +52,33 @@ def test_build_csv(tmp_path):
 
 def test_usage_errors():
     assert main(["build", "--h", "0", "--family", "hx"]) == 2
-    assert main(["certify", "--h", "2", "--depth", "sampled"]) == 2
-    assert main(["certify", "--h", "4"]) == 2
+    assert main(["certify", "--h", "2", "--seed", "1"]) == 2  # no sampled check to seed
+    assert main(["certify", "--h", "2", "--depth", "bogus"]) == 2
     assert main(["build", "--h", "4", "--family", "hx"]) == 2
     assert main(["build"]) == 2  # missing --h
+
+
+def test_certify_h4_needs_no_depth_or_seed(monkeypatch, tmp_path):
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append((args, kwargs))
+        return {"verdict": "pass"}
+
+    monkeypatch.setattr(cli, "run_certify", fake)
+    assert main(["certify", "--h", "4", "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == [((4,), {})]
+
+
+def test_depth_is_ignored_with_a_note(tmp_path, capsys):
+    outs = []
+    for extra in ([], ["--depth", "full"], ["--depth", "sampled"]):
+        out = tmp_path / f"cert{len(outs)}.json"
+        assert main(["certify", "--h", "1", "--out", str(out), *extra]) == 0
+        note = "--depth ignored: every check is exhaustive at every h\n" if extra else ""
+        assert capsys.readouterr().err == note
+        outs.append(canonical_json(json.loads(out.read_text())))
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_certify_h1_cli(tmp_path):

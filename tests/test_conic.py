@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from hxpw import conic, geometry
-from hxpw.conic import (ClassificationError, classify, fine_label, pair_line,
-                        pair_reps, rho, rho_hat, trace_sets)
+from hxpw.conic import (ClassificationError, classify, pair_line, pair_reps, rho, rho_hat,
+                        trace_sets)
 from hxpw.fields import tower
+
+from scalar_oracles import fine_label
 
 
 def test_pair_census():

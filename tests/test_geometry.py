@@ -99,7 +99,7 @@ def test_hermitian_codes_match_bruteforce_h2():
 def test_qhat_bhat_substitutions():
     ctx = tower(2)
     assert g.qhat(ctx, (1, 0, 0, 0)) == 0
-    assert g.bhat(ctx, (1, 0, 0, 0), (0, 0, 0, 1)) == 1
+    assert so.bhat(ctx, (1, 0, 0, 0), (0, 0, 0, 1)) == 1
 
 
 def test_polarization_identity():
@@ -111,7 +111,7 @@ def test_polarization_identity():
         s = tuple(a ^ b for a, b in zip(u, v))
         if not any(s):
             continue
-        assert g.qhat(ctx, s) == g.qhat(ctx, u) ^ g.qhat(ctx, v) ^ g.bhat(ctx, u, v)
+        assert g.qhat(ctx, s) == g.qhat(ctx, u) ^ g.qhat(ctx, v) ^ so.bhat(ctx, u, v)
 
 
 def test_bhat_rejects_bad_pattern():
@@ -120,7 +120,7 @@ def test_bhat_rejects_bad_pattern():
     with pytest.raises(ValueError):
         g.qhat(ctx, bad)
     with pytest.raises(ValueError):
-        g.bhat(ctx, bad, (1, 0, 0, 0))
+        so.bhat(ctx, bad, (1, 0, 0, 0))
 
 
 def test_w_point_set_count_and_isotropy():
@@ -232,7 +232,7 @@ def _scalar_w_lines(ctx):
             for lead in range(4) for tail in itertools.product(F, repeat=3 - lead)]
     out = {}
     for p in reps:
-        kern = g.nullspace(ctx, [[g.bhat(ctx, p, bv) for bv in basis]], 4)
+        kern = g.nullspace(ctx, [[so.bhat(ctx, p, bv) for bv in basis]], 4)
         pc = coords(p)
         u = next(k for k in kern if len(g.rref_rows(ctx, [pc, k])[0]) == 2)
         v = next(k for k in kern if len(g.rref_rows(ctx, [pc, u, k])[0]) == 3)

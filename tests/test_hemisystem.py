@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from hxpw import conic
 from hxpw import geometry as g
 from hxpw import hemisystem as hs
 from hxpw.conic import pair_reps, nu
@@ -15,8 +16,8 @@ import scalar_oracles as so
 
 def _hemi_line(ctx, t):
     """m_t through scalar linear algebra: the oracle of `build_hemisystem`."""
-    r1 = hs.rational_vector(ctx, t, 1)
-    r2 = hs.rational_vector(ctx, t, ctx.omega)
+    r1 = so.rational_vector(ctx, t, 1)
+    r2 = so.rational_vector(ctx, t, ctx.omega)
     line = g.line_through(ctx, r1, r2)
     points = frozenset(g.line_points(ctx, line))
     for p in points:
@@ -84,7 +85,7 @@ def test_bulk_lines_match_scalar_oracle():
             hl, oracle = lines[i], _hemi_line(ctx, pair_reps(ctx)[i])
             assert (hl.rep, hl.line, hl.points, hl.w, hl.w_prime) == (
                 oracle.rep, oracle.line, oracle.points, oracle.w, oracle.w_prime)
-            tl = hs.tau_line(ctx, hl.line)
+            tl = so.tau_line(ctx, hl.line)
             assert (twins[i].rep, twins[i].line, twins[i].w, twins[i].w_prime) == (
                 hl.rep, tl, hl.w_prime, hl.w)
             assert twins[i].points == frozenset(g.line_points(ctx, tl))
@@ -117,13 +118,13 @@ def test_tau_involution_on_random_lines():
         except ValueError:
             continue
         made += 1
-        assert hs.tau_line(ctx, hs.tau_line(ctx, line)) == line
+        assert so.tau_line(ctx, so.tau_line(ctx, line)) == line
 
 
 def test_tau_fixes_extended_lines_h1():
     ctx = tower(1)
     for line in g.w_lines(ctx):
-        assert hs.tau_line(ctx, line) == line
+        assert so.tau_line(ctx, line) == line
 
 
 def test_tau_orbits_disjoint():
@@ -131,7 +132,7 @@ def test_tau_orbits_disjoint():
         ctx = tower(h)
         lines = hs.build_hemisystem(ctx)
         mset = {hl.line for hl in lines}
-        tset = {hs.tau_line(ctx, hl.line) for hl in lines}
+        tset = {so.tau_line(ctx, hl.line) for hl in lines}
         assert not mset & tset
         assert len(tset) == len(mset)
 
@@ -207,7 +208,7 @@ def test_spread_map_rejects_a_w_line(ctx2):
 
 def test_tau_line_subtends_same_spread(ctx2, lines_2, spreads_2):
     for hl in lines_2[:40]:
-        tl = hs.tau_line(ctx2, hl.line)
+        tl = so.tau_line(ctx2, hl.line)
         tau_hl = hs.HemiLine(hl.rep, tl, frozenset(g.line_points(ctx2, tl)),
                              hl.w_prime, hl.w)
         tau_spread = hs.spread_map(ctx2, [tau_hl])[hl.rep]
@@ -236,12 +237,18 @@ def _geometric_oracle(ctx, lines, spreads):
     return table
 
 
+def _geometric_table(ctx, lines, spreads=None):
+    """`geometric_table` on the spread incidence of `spreads`, by default the lines' own."""
+    spreads = hs.spread_map(ctx, lines) if spreads is None else spreads
+    return hs.geometric_table(ctx, lines, hs.spread_incidence(ctx, lines, spreads))
+
+
 def test_bulk_geometric_table_matches_scalar_loop():
     for h in (1, 2):
         ctx = tower(h)
         lines = hs.build_hemisystem(ctx)
         spreads = hs.spread_map(ctx, lines)
-        assert np.array_equal(hs.geometric_table(ctx, lines, spreads),
+        assert np.array_equal(_geometric_table(ctx, lines, spreads),
                               _geometric_oracle(ctx, lines, spreads))
 
 
@@ -255,12 +262,12 @@ def test_bulk_geometric_table_raises_where_the_loop_does(ctx2, lines_2, spreads_
         with pytest.raises(StructureError) as loop:
             _geometric_oracle(ctx2, lines, spreads)
         with pytest.raises(StructureError) as bulk:
-            hs.geometric_table(ctx2, lines, spreads)
+            _geometric_table(ctx2, lines, spreads)
         assert str(bulk.value) == str(loop.value)
 
 
 def test_geometric_row_valencies(ctx2, lines_2, spreads_2):
-    table = hs.geometric_table(ctx2, lines_2, spreads_2)
+    table = _geometric_table(ctx2, lines_2, spreads_2)
     for i in range(120):
         counts = {k: int(np.count_nonzero(table[i] == k)) for k in (1, 2, 3)}
         assert counts == {1: 17, 2: 34, 3: 68}
@@ -270,16 +277,16 @@ def test_geometric_row_valencies(ctx2, lines_2, spreads_2):
 def test_h1_geometric_all_class_two():
     ctx = tower(1)
     lines = hs.build_hemisystem(ctx)
-    table = hs.geometric_table(ctx, lines)
+    table = _geometric_table(ctx, lines)
     off = table[~np.eye(len(lines), dtype=bool)]
     assert set(off.tolist()) == {2}
 
 
 def test_klein_equals_geometric(ctx2, lines_2, spreads_2, pw_bundle_2):
-    geo = hs.geometric_table(ctx2, lines_2, spreads_2)
+    geo = _geometric_table(ctx2, lines_2, spreads_2)
     assert np.array_equal(geo, pw_bundle_2["table"])
     ctx1 = tower(1)
-    geo1 = hs.geometric_table(ctx1, hs.build_hemisystem(ctx1))
+    geo1 = _geometric_table(ctx1, hs.build_hemisystem(ctx1))
     assert np.array_equal(geo1, hs.klein_table_bundle(ctx1)["table"])
 
 
@@ -321,7 +328,7 @@ def test_klein_images_match_explicit_vectors():
         for hl in hs.build_hemisystem(ctx):
             assert (g.normalize_point(ctx, g.klein_map(ctx, hl.line))
                     == g.normalize_point(ctx, hl.w))
-            assert (g.normalize_point(ctx, g.klein_map(ctx, hs.tau_line(ctx, hl.line)))
+            assert (g.normalize_point(ctx, g.klein_map(ctx, so.tau_line(ctx, hl.line)))
                     == g.normalize_point(ctx, hl.w_prime))
     ctx = tower(3)
     rng = random.Random(14)
@@ -413,14 +420,73 @@ def test_equivariance_sampled():
         assert report["pass"], report
 
 
-def test_orbit_closure():
-    for h, size in ((1, 6), (2, 120)):
+def test_lambda_is_primitive_in_the_middle_field():
+    for h in (1, 2, 3, 4):
         ctx = tower(h)
-        report = hs.verify_orbit(ctx)
-        assert report["pass"]
-        assert report["orbit_size"] == size
-    with pytest.raises(ValueError):
-        hs.verify_orbit(tower(3))
+        lam = hs.mobius_generators(ctx)["t -> lambda t"][1][1]
+        powers, x = set(), 1
+        for _ in range(ctx.q2 - 1):
+            x = ctx.mul(x, lam)
+            powers.add(x)
+        assert powers == set(ctx.subfield(2 * h)) - {0}
+
+
+def _passing_group_blocks(ctx, n, table):
+    return {"orbit": {"pass": True, "orbit_size": n, "expected": n, "escaped": 0},
+            "automorphisms": {
+                "pass": True, "points": ctx.size + 1, "diagram_failures": 0,
+                "form_failures": 0, "symplectic_failures": 0, "twin_failures": 0,
+                "table_failures": table,
+                "generators": {name: [list(r) for r in g]
+                               for name, g in hs.mobius_generators(ctx).items()}}}
+
+
+def test_automorphisms_at_every_h_with_tables():
+    for h, n in ((1, 6), (2, 120), (3, 2016)):
+        ctx = tower(h)
+        fine = conic.table_bundle(ctx)["fine_table"]
+        assert hs.verify_automorphisms(ctx, fine) == _passing_group_blocks(ctx, n, 0)
+
+
+def test_automorphisms_at_h4():
+    ctx = tower(4)
+    assert hs.verify_automorphisms(ctx) == _passing_group_blocks(ctx, 32640, "skipped")
+
+
+def test_generators_map_lines_to_lines_scalar():
+    """The orbit claim by scalar code: each generator maps m_t onto m_{g.t},
+    never onto a tau twin, and the Moebius maps reach every pair from index 0."""
+    for h in (1, 2):
+        ctx = tower(h)
+        lines = hs.build_hemisystem(ctx)
+        reps = pair_reps(ctx)
+        twins = {so.tau_line(ctx, hl.line) for hl in lines}
+        for g_ in hs.mobius_generators(ctx).values():
+            M = hs.chi_matrix(ctx, g_)
+            for hl in lines:
+                image = g.line_through(ctx, *(hs.apply4(ctx, M, r) for r in hl.line))
+                u = hs.moebius(ctx, g_, hl.rep)
+                assert image == lines[reps.index(min(u, ctx.conj(u)))].line
+                assert image not in twins
+        assert so.moebius_orbit(ctx, hs.mobius_generators(ctx).values()) == set(range(len(reps)))
+
+
+def test_automorphisms_catch_a_table_that_is_not_invariant():
+    ctx = tower(2)
+    fine = conic.table_bundle(ctx)["fine_table"].copy()
+    i, j = 3, 9
+    other = next(v for v in range(1, fine.max() + 1) if v != fine[i, j])
+    fine[i, j] = fine[j, i] = other
+    auto = hs.verify_automorphisms(ctx, fine)["automorphisms"]
+    assert not auto["pass"] and auto["table_failures"] > 0
+    first = auto["first_discrepancy"]
+    assert first["check"] == "table" and first["rep"] == pair_reps(ctx)[first["index"]]
+    # by hand: row `index` of the table and of its image under the generator differ
+    pi = [pair_reps(ctx).index(min(u, ctx.conj(u))) for u in (
+        hs.moebius(ctx, hs.mobius_generators(ctx)[first["generator"]], t)
+        for t in pair_reps(ctx))]
+    r = first["index"]
+    assert any(fine[pi[r], pi[c]] != fine[r, c] for c in range(len(pi)))
 
 
 def test_line_census_two_orbits():
@@ -453,18 +519,19 @@ def test_klein_images_match_the_span_oracle(monkeypatch):
         lines = hs.build_hemisystem(ctx)
         tau = hs.tau_lines(ctx, lines)
         spreads = hs.spread_map(ctx, lines)
-        clean = hs.klein_images(ctx, lines, tau, spreads)
+        S = hs.spread_incidence(ctx, lines, spreads)
+        clean = hs.klein_images(ctx, lines, tau, S)
         assert clean["pass"] and clean == so.klein_images(ctx, lines, spreads)
         for fault in (_swap_klein_vectors, _shift_klein_vector):
             bad = lines[:3] + (fault(lines[3]),) + lines[4:]
-            faulty = hs.klein_images(ctx, bad, tau, spreads)
+            faulty = hs.klein_images(ctx, bad, tau, S)
             assert faulty["first_discrepancy"] == {
                 "line_index": 3, "rep": lines[3].rep, "check": "projective_mismatches"}
             del faulty["first_discrepancy"]
             assert faulty == so.klein_images(ctx, bad, spreads)
         with monkeypatch.context() as mp:
             assert g.qt(ctx, so.perturb_klein_image(mp, ctx, 0)[1]) == 1
-            faulty = hs.klein_images(ctx, lines, tau, spreads)
+            faulty = hs.klein_images(ctx, lines, tau, S)
             oracle = so.klein_images(ctx, lines, spreads)
         assert not faulty["pass"] and faulty["spread_image_mismatches"] > 0
         assert faulty["first_discrepancy"]["check"] == "spread_image_mismatches"
