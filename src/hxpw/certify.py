@@ -27,9 +27,9 @@ every h, writing the `orbit` and `automorphisms` blocks.  Above
 TABLE_MAX_H no table is built, so the blocks that read tables are skipped.
 Up to TABLE_MAX_H the geometric route, recorded in `routes.geometric`,
 also classifies every pair, and `tau_consistency`, the line census and the
-Klein images run on the arrays that route builds.  A failing census, Klein,
-orbit or automorphisms block names its first bad line, generator or point
-in `first_discrepancy`.
+Klein images run on what that route builds: the line-set arrays and their
+spread incidence S.  A failing census, Klein, tau, orbit or automorphisms
+block names its first bad line, pair, generator or point in `first_discrepancy`.
 
 Nothing in a certificate is sampled: it is a deterministic function of h,
 in the format `hxpw-certificate/6`.  Two runs produce byte-identical
@@ -78,8 +78,8 @@ def certify(h: int) -> dict:
     ctx = tower(h)
     blocks, timings, witness = {}, {}, None
     # what the stages share; the stages fill in the fields that start as None
-    st = SimpleNamespace(ctx=ctx, blocks=blocks, hx=None, lines=None, tau=None,
-                         spreads=None, incidence=None, analytics=None, degenerate=False)
+    st = SimpleNamespace(ctx=ctx, blocks=blocks, hx=None, lines=None, tau=None, S=None,
+                         analytics=None, degenerate=False)
     for name, names, skip, run in STAGES:
         reason = "routes failed" if blocks.get("routes", {}).get("pass") is False else skip(h)
         if reason:
@@ -168,9 +168,8 @@ def _algebraic_routes(st):
 def _geometric_route(st):
     """The spread-counting route, recorded inside the `routes` block."""
     st.lines = hemisystem.build_hemisystem(st.ctx)
-    st.spreads = hemisystem.spread_map(st.ctx, st.lines)
-    st.incidence = hemisystem.spread_incidence(st.ctx, st.lines, st.spreads)
-    geo = _geometric_agreement(st.ctx, st.hx["table"], st.lines, st.spreads, st.incidence)
+    st.S = hemisystem.spread_map(st.ctx, st.lines)
+    geo = _geometric_agreement(st.ctx, st.hx["table"], st.lines, st.S)
     return {"routes": {**st.blocks["routes"], "pass": geo["pass"], "geometric": geo}}
 
 
@@ -187,15 +186,24 @@ def _class_counts(st):
 
 
 def _tau_consistency(st):
-    """The tau-images of the lines subtend the same spreads and the same table."""
+    """The tau-images of the lines subtend the same spreads and the same table;
+    a failure names the first line, or else the first pair, that differs."""
     st.tau = hemisystem.tau_lines(st.ctx, st.lines)
-    tau_spreads = hemisystem.spread_map(st.ctx, st.tau)
-    # line by line, so that the twins share the spread incidence of the lines
-    same_spreads = all(tau_spreads[tl.rep] == st.spreads[hl.rep]
-                       for tl, hl in zip(st.tau, st.lines))
-    tau_ok = same_spreads and np.array_equal(
-        hemisystem.geometric_table(st.ctx, st.tau, st.incidence), st.hx["table"])
-    return {"tau_consistency": {"pass": tau_ok, "same_subtended_spreads": same_spreads}}
+    # line by line, so that the twins share the spread incidence S of the lines
+    differs = np.any(hemisystem.spread_map(st.ctx, st.tau) != st.S, axis=1)
+    block = {"pass": not differs.any(), "same_subtended_spreads": not differs.any()}
+    if differs.any():
+        i = int(np.argmax(differs))
+        first = {"line_index": i, "rep": int(st.lines["reps"][i]),
+                 "check": "same_subtended_spreads"}
+    else:
+        tau, table = hemisystem.geometric_table(st.ctx, st.tau, st.S), st.hx["table"]
+        i, j = divmod(int(np.argmax(tau != table)), len(table))  # (0, 0) when they agree
+        first = {"pair_indices": [i, j], "tau": int(tau[i, j]), "table": int(table[i, j])}
+        block["pass"] = first["tau"] == first["table"]
+    if not block["pass"]:
+        block["first_discrepancy"] = first
+    return {"tau_consistency": block}
 
 
 def _scheme(st):
@@ -238,25 +246,24 @@ STAGES = (
     ("line_census", ("line_census",), _tables,
           lambda st: {"line_census": hemisystem.line_census(st.ctx, st.lines, st.tau)}),
     ("klein_images", ("klein_images",), _tables,
-          lambda st: {"klein_images": hemisystem.klein_images(st.ctx, st.lines, st.tau,
-                                                             st.incidence)}),
+          lambda st: {"klein_images": hemisystem.klein_images(st.ctx, st.lines, st.tau, st.S)}),
     ("scheme", ("scheme_hx",), _tables, _scheme),
     ("spectrum", ("eigenmatrix", "krein", "srg"), _tables, _spectrum),
     ("fine", ("fine",), _tables, lambda st: {"fine": _fine_block(st.ctx, st.hx)}),
 )
 
 
-def _geometric_agreement(ctx, table, lines, spreads, incidence):
+def _geometric_agreement(ctx, table, lines, S):
     """Compare the spread-counting route against the table on every pair.
 
     Row 0 is derived a second time first, through the scalar linear algebra
     of `geometry.w_meeting_line_through` and `hemisystem.geometric_class`,
-    and must match the bulk spread and table row.
+    and must match the bulk spread S[0] and table row.
     """
-    geo = hemisystem.geometric_table(ctx, lines, incidence)
-    n = len(lines)
+    geo = hemisystem.geometric_table(ctx, lines, S)
+    n = len(geo)
     out = {"pass": True, "mode": "full", "checked": n * (n - 1) // 2}
-    first = _row_zero_discrepancy(ctx, geo, lines, spreads)
+    first = _row_zero_discrepancy(ctx, geo, lines, S)
     if first is None and not np.array_equal(geo, table):
         i, j = divmod(int(np.argmax(geo != table)), n)
         first = {"pair_indices": [i, j], "geometric": int(geo[i, j]), "table": int(table[i, j])}
@@ -266,16 +273,19 @@ def _geometric_agreement(ctx, table, lines, spreads, incidence):
     return out
 
 
-def _row_zero_discrepancy(ctx, geo, lines, spreads):
+def _row_zero_discrepancy(ctx, geo, lines, S):
     """Where the scalar route disagrees with the bulk spread or row 0, or None."""
-    l0 = lines[0]
-    spread = frozenset(geometry.w_meeting_line_through(ctx, p) for p in l0.points)
-    if spread != spreads[l0.rep]:
-        return {"line_index": 0, "rep": l0.rep, "scalar_spread_size": len(spread),
-                "bulk_spread_size": len(spreads[l0.rep]),
-                "shared_members": len(spread & spreads[l0.rep])}
-    for j in range(1, len(lines)):
-        c = hemisystem.geometric_class(ctx, l0, lines[j], spreads)
+    codes, wl = lines["codes"], geometry.w_line_index(ctx)["lines"]
+    members = [set(np.flatnonzero(row).tolist()) for row in S]
+    spread = {geometry.w_meeting_line_through(ctx, geometry.decode_point(ctx, c))
+              for c in codes[0]}
+    bulk = {wl[k] for k in members[0]}
+    if spread != bulk:
+        return {"line_index": 0, "rep": int(lines["reps"][0]), "scalar_spread_size": len(spread),
+                "bulk_spread_size": len(bulk), "shared_members": len(spread & bulk)}
+    points = set(codes[0].tolist())
+    for j in range(1, len(codes)):
+        c = hemisystem.geometric_class(ctx, points, set(codes[j].tolist()), members[0], members[j])
         if c != geo[0, j]:
             return {"pair_indices": [0, j], "geometric": int(geo[0, j]), "scalar": c}
     return None

@@ -56,12 +56,12 @@ def graph6_bytes(adj) -> bytes:
 
 def _family_bundle(h: int, family: str):
     ctx = tower(h)
-    hx = conic.table_bundle(ctx)
-    if family == "hx":
-        table, d = hx["table"], 3
-    elif family == "pw":
+    if family == "pw":
         table, d = hemisystem.klein_table_bundle(ctx)["table"], 3
+    elif family == "hx":
+        table, d = conic.table_bundle(ctx)["table"], 3
     elif family == "fine":
+        hx = conic.table_bundle(ctx)
         table, d = hx["fine_table"], len(hx["fine_to_coarse"])
     else:
         raise ValueError(f"unknown family {family!r}")

@@ -343,9 +343,8 @@ def w_line_index(ctx):
 
     Returns a dict:
 
-    * ``lines``: the canonical lines in `w_lines` order, ``position`` their
-      index by line, ``codes`` the (k, q^2 + 1) codes of their points in
-      `line_points` order;
+    * ``lines``: the canonical lines in `w_lines` order, ``codes`` the
+      (k, q^2 + 1) codes of their points in `line_points` order;
     * ``ext_codes``: the sorted codes of the (q^2+1)(q^3-q) external points,
       ``ext_line`` the index of the one line through each;
     * ``incidence``: the 0/1 float32 matrix K with K[l, w] = 1 when line l
@@ -379,8 +378,8 @@ def w_line_index(ctx):
     short = np.flatnonzero(incidence.sum(axis=1) != ctx.q + 1)
     if short.size:
         raise StructureError(f"extended line {int(short[0])} does not hold q + 1 W-points")
-    return {"lines": lines, "position": {ln: i for i, ln in enumerate(lines)}, "codes": codes,
-            "ext_codes": ext_codes, "ext_line": ext_line, "incidence": incidence}
+    return {"lines": lines, "codes": codes, "ext_codes": ext_codes, "ext_line": ext_line,
+            "incidence": incidence}
 
 
 def decode_point(ctx, code):

@@ -10,10 +10,12 @@ pattern-swapping involution tau is the disjoint twin hemisystem.
 The scheme on the lines has three faces, all computed here:
 
 * geometric: class 1 when two lines meet; otherwise class 2 or 3 by
-  whether the subtended spreads share 1 or q+1 members.  The lines, their
-  spreads and the whole table are built on arrays of point codes
-  (`build_hemisystem`, `spread_map`, `geometric_table`), with the scalar
-  `geometric_class` as the per-pair definition;
+  whether the subtended spreads share 1 or q+1 members.  A line set
+  (`build_hemisystem`, `tau_lines`) is one dict of read-only arrays:
+  ``reps``, canonical ``rows``, point ``codes`` and the Klein vectors ``w``
+  and ``w_prime``.  `spread_map` turns it into the 0/1 spread incidence S,
+  and `geometric_table` classifies every pair from the codes and S, with
+  the scalar `geometric_class` as the per-pair definition;
 * Klein-algebraic: class 1 when bt(w_s, w_t) = 0, class 2 when
   bt(w_s, w'_t) = 0, class 3 otherwise, where w_t / w'_t are the explicit
   Klein images of m_t / tau(m_t) and bt is the restricted alternating form;
@@ -63,22 +65,6 @@ def theta(ctx, t):
     return geometry.normalize_point(ctx, theta_vec(ctx, t))
 
 
-class HemiLine:
-    """A hemisystem line together with its Klein-side data."""
-
-    __slots__ = ("rep", "line", "points", "w", "w_prime")
-
-    def __init__(self, rep, line, points, w, w_prime):
-        self.rep = rep
-        self.line = line
-        self.points = points
-        self.w = w
-        self.w_prime = w_prime
-
-    def __repr__(self):
-        return f"HemiLine(rep={self.rep})"
-
-
 def w_vec(ctx, t):
     """Klein image vector of m_t, written in the conjugate pattern."""
     h = ctx.h
@@ -108,72 +94,56 @@ def _rational_rows(ctx):
     return theta ^ conj, ctx.mul_arr(om, theta) ^ ctx.mul_arr(ctx.conj(om), conj)
 
 
-def _hemi_lines(ctx, reps, R1, R2, ws, w_primes, validate):
-    """HemiLines of the lines spanned by the rows R1[i], R2[i], all at once.
+def _line_set(ctx, reps, R1, R2, w, w_prime):
+    """The line set spanned by the rows R1[i], R2[i], as a dict of read-only arrays.
 
-    With `validate`, StructureError unless every line has rank 2 and
-    consists of isotropic points outside the symplectic substructure.
+    ``reps`` (n,) the pair representatives, ``rows`` (n, 2, 4) the canonical
+    rows of `geometry.join_rows`, ``codes`` (n, q^2 + 1) the codes of their
+    points in `line_points` order, ``w`` and ``w_prime`` (n, 6) the Klein
+    vectors.  StructureError unless every line has rank 2 and consists of
+    isotropic points outside the symplectic substructure.
     """
-    if validate:
-        flat = np.flatnonzero(~np.any(geometry.plucker_arr(ctx, R1, R2), axis=1))
-        if flat.size:
-            raise StructureError(f"m_t rows have rank < 2 (t={reps[flat[0]]})")
-    P = geometry.line_points_arr(ctx, R1, R2)
+    reps = np.asarray(reps, dtype=np.int64)
+    flat = np.flatnonzero(~np.any(geometry.plucker_arr(ctx, R1, R2), axis=1))
+    if flat.size:
+        raise StructureError(f"m_t rows have rank < 2 (t={reps[flat[0]]})")
+    rows = geometry.join_rows(ctx, geometry.normalize_points(ctx, R1),
+                              geometry.normalize_points(ctx, R2))
+    P = geometry.line_points_arr(ctx, rows[:, 0], rows[:, 1])
+    form = geometry.hermitian_arr(ctx, P, P)
+    if np.any(form):
+        i, k = np.argwhere(form)[0]
+        raise StructureError(f"m_t point {tuple(P[i, k].tolist())} not isotropic "
+                             f"(t={reps[i]})")
     codes = geometry.point_codes(ctx, P)
-    if validate:
-        form = geometry.hermitian_arr(ctx, P, P)
-        if np.any(form):
-            i, k = np.argwhere(form)[0]
-            raise StructureError(f"m_t point {tuple(P[i, k].tolist())} not isotropic "
-                                 f"(t={reps[i]})")
-        on_w = geometry.lookup(geometry.w_point_codes(ctx), codes)[1].any(axis=1)
-        if on_w.any():
-            raise StructureError(
-                f"m_t meets the symplectic substructure (t={reps[np.argmax(on_w)]})")
-    # one tuple per distinct point, shared by the lines through it
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    distinct = list(zip(*P.reshape(-1, 4)[first].T.tolist()))
-    points = [frozenset(map(distinct.__getitem__, row))
-              for row in inverse.reshape(codes.shape).tolist()]
-    rows = list(zip(*geometry.join_rows(ctx, P[:, 0], P[:, 1]).reshape(-1, 4).T.tolist()))
-    return tuple(HemiLine(t, (rows[2 * i], rows[2 * i + 1]), pts, w, wp)
-                 for i, (t, pts, w, wp) in enumerate(zip(reps, points, ws, w_primes)))
+    on_w = geometry.lookup(geometry.w_point_codes(ctx), codes)[1].any(axis=1)
+    if on_w.any():
+        raise StructureError(
+            f"m_t meets the symplectic substructure (t={reps[np.argmax(on_w)]})")
+    lines = {"reps": reps, "rows": rows, "codes": codes, "w": w, "w_prime": w_prime}
+    for a in lines.values():
+        a.flags.writeable = False
+    return lines
 
 
 @lru_cache(maxsize=None)
-def build_hemisystem(ctx, validate=True):
+def build_hemisystem(ctx):
     """The hemisystem of record, ordered like the conjugate-pair index set."""
     R1, R2 = _rational_rows(ctx)
     A = klein_arrays(ctx)
-    x, xq, y, yq, z, zq = (A[k].tolist() for k in ("x", "xq", "y", "yq", "z", "zq"))
-    return _hemi_lines(ctx, pair_reps(ctx), R1, R2, zip(x, xq, y, yq, z, zq),
-                       zip(x, xq, yq, y, z, zq), validate)
+    w = np.stack([A[k] for k in ("x", "xq", "y", "yq", "z", "zq")], axis=1)
+    return _line_set(ctx, pair_reps(ctx), R1, R2, w, w[:, [0, 1, 3, 2, 4, 5]])
 
 
 def tau_lines(ctx, lines):
-    """The tau images of hemisystem lines, with w and w' exchanged."""
-    rows = _tau_rows(ctx, np.array([hl.line for hl in lines], dtype=np.int64))
-    return _hemi_lines(ctx, [hl.rep for hl in lines], rows[:, 0], rows[:, 1],
-                       [hl.w_prime for hl in lines], [hl.w for hl in lines], True)
+    """The tau images of a line set, with w and w' exchanged."""
+    rows = _tau_rows(ctx, lines["rows"])
+    return _line_set(ctx, lines["reps"], rows[:, 0], rows[:, 1], lines["w_prime"], lines["w"])
 
 
 def _tau_rows(ctx, R):
     """tau, (x1, x2, x3, x4) -> (x1^q, x3^q, x2^q, x4^q), on the (..., 4) rows R."""
     return ctx.frob_arr(R, ctx.h)[..., [0, 2, 1, 3]]
-
-
-def _line_codes(ctx, lines):
-    """(n, q^2 + 1) point codes of the lines, from their canonical rows."""
-    return _line_set_codes(ctx, tuple(lines))
-
-
-@lru_cache(maxsize=2)  # the lines and the tau twins of one certificate
-def _line_set_codes(ctx, lines):
-    # HemiLines hash by identity, so each line set is coded once
-    rows = np.array([hl.line for hl in lines], dtype=np.int64)
-    codes = geometry.point_codes(ctx, geometry.line_points_arr(ctx, rows[:, 0], rows[:, 1]))
-    codes.flags.writeable = False
-    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +152,7 @@ def _line_set_codes(ctx, lines):
 def verify_hemisystem(ctx, lines):
     """Per-point cover counts of the line set over the external points."""
     herm = geometry.hermitian_codes(ctx)
-    pos, found = geometry.lookup(herm, _line_codes(ctx, lines))
+    pos, found = geometry.lookup(herm, lines["codes"])
     counts = np.bincount(pos[found], minlength=herm.size)
     on_w = geometry.lookup(geometry.w_point_codes(ctx), herm)[1]
     target = ctx.q // 2
@@ -200,85 +170,74 @@ def verify_hemisystem(ctx, lines):
 # subtended spreads and the geometric classification
 
 def spread_map(ctx, lines):
-    """rep -> frozenset of extended GF(q)-lines meeting the hemisystem line.
+    """The 0/1 float32 spread incidence S of a line set.
 
-    Each point's member is read off `geometry.w_line_index`.  StructureError
-    unless every point is external, the q^2 + 1 members are distinct and
-    they partition the points of W(3, q): S K = 1 on every W-point, with S
-    the line-by-member incidence matrix.
+    S[i, l] = 1 when extended line l, in `geometry.w_line_index` order,
+    meets line i; each point's line is read off that index.  StructureError
+    unless every point is external, the q^2 + 1 members of each spread are
+    distinct and they partition the points of W(3, q): S K = 1 on every
+    W-point.
     """
     index = geometry.w_line_index(ctx)
-    codes = _line_codes(ctx, lines)
+    codes, reps = lines["codes"], lines["reps"]
     pos, external = geometry.lookup(index["ext_codes"], codes)
     if not external.all():
         i, k = np.argwhere(~external)[0]
         raise StructureError(f"point {geometry.decode_point(ctx, codes[i, k])} of rep="
-                             f"{lines[i].rep} is not an external point")
+                             f"{reps[i]} is not an external point")
     members = np.sort(index["ext_line"][pos], axis=1)
     repeated = np.any(members[:, 1:] == members[:, :-1], axis=1)
     if repeated.any():
         i = int(np.argmax(repeated))
-        raise StructureError(f"spread of rep={lines[i].rep} has {len(set(members[i]))} "
+        raise StructureError(f"spread of rep={reps[i]} has {len(set(members[i]))} "
                              f"lines, expected {ctx.q2 + 1}")
-    S = np.zeros((len(lines), len(index["lines"])), dtype=np.float32)
-    S[np.arange(len(lines))[:, None], members] = 1
+    S = np.zeros((len(codes), len(index["lines"])), dtype=np.float32)
+    S[np.arange(len(codes))[:, None], members] = 1
     overlap = np.any(S @ index["incidence"] != 1, axis=1)
     if overlap.any():
         raise StructureError(
-            f"spread of rep={lines[int(np.argmax(overlap))].rep} has overlapping members")
-    wl = index["lines"]
-    return {hl.rep: frozenset(map(wl.__getitem__, row))
-            for hl, row in zip(lines, members.tolist())}
+            f"spread of rep={reps[int(np.argmax(overlap))]} has overlapping members")
+    return S
 
 
-def geometric_class(ctx, la, lb, spreads):
-    inter = len(la.points & lb.points)
+def geometric_class(ctx, points_a, points_b, spread_a, spread_b):
+    """The class of two lines, from the sets of their point codes and of
+    their spread members (columns of S)."""
+    inter = len(points_a & points_b)
     if inter == 1:
         return 1
     if inter != 0:
-        raise StructureError(f"lines of reps {la.rep}, {lb.rep} share {inter} points")
-    k = len(spreads[la.rep] & spreads[lb.rep])
+        raise StructureError(f"lines share {inter} points")
+    k = len(spread_a & spread_b)
     if k == 1:
         return 2
     if k == ctx.q + 1:
         return 3
-    raise StructureError(
-        f"spreads of reps {la.rep}, {lb.rep} share {k} lines (expected 1 or q+1)")
+    raise StructureError(f"spreads share {k} lines (expected 1 or q+1)")
 
 
 def geometric_table(ctx, lines, S):
     """The n x n geometric class table, `geometric_class` on every pair at once.
 
     Shared points come from an inverted point -> lines index and shared
-    spread members from S S^T, with S the `spread_incidence` of the lines.
+    spread members from S S^T, with S the `spread_map` of the lines.
     StructureError at the first pair in row order where `geometric_class`
-    raises.
+    raises, naming the reps of that pair.
     """
-    n = len(lines)
-    shared = _shared_points(_line_codes(ctx, lines))
+    reps = lines["reps"]
+    n = len(reps)
+    shared = _shared_points(lines["codes"])
     common = S @ S.T
     bad = (shared > 1) | ((shared == 0) & (common != 1) & (common != ctx.q + 1))
     bad = np.triu(bad, 1)
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), n)
-        if shared[i, j] > 1:
-            raise StructureError(
-                f"lines of reps {lines[i].rep}, {lines[j].rep} share {shared[i, j]} points")
-        raise StructureError(f"spreads of reps {lines[i].rep}, {lines[j].rep} share "
-                             f"{int(common[i, j])} lines (expected 1 or q+1)")
+        raise StructureError(f"reps {reps[i]}, {reps[j]}: " + (
+            f"lines share {shared[i, j]} points" if shared[i, j] > 1 else
+            f"spreads share {int(common[i, j])} lines (expected 1 or q+1)"))
     table = np.where(shared == 1, np.int8(1), np.where(common == 1, np.int8(2), np.int8(3)))
     np.fill_diagonal(table, 0)
     return table
-
-
-def spread_incidence(ctx, lines, spreads):
-    """The 0/1 float32 matrix S: S[i, l] = 1 when extended line l is in the spread of lines[i]."""
-    position = geometry.w_line_index(ctx)["position"]
-    members = [spreads[hl.rep] for hl in lines]
-    S = np.zeros((len(lines), len(position)), dtype=np.float32)
-    S[np.repeat(np.arange(len(lines)), [len(m) for m in members]),
-      [position[ln] for m in members for ln in m]] = 1
-    return S
 
 
 def _shared_points(codes):
@@ -586,8 +545,8 @@ def line_census(ctx, lines, tau):
     derives the lines through the first point of m_t0 a second time.
     """
     index = geometry.w_line_index(ctx)
-    n, q = len(lines), ctx.q
-    codes = np.concatenate([_line_codes(ctx, lines), _line_codes(ctx, tau), index["codes"]])
+    n, q = len(lines["reps"]), ctx.q
+    codes = np.concatenate([lines["codes"], tau["codes"], index["codes"]])
     rows = np.sort(codes, axis=1)
     _, first, line_id = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     orbit, tau_orbit, w_extended = (np.unique(line_id[a:b]).size
@@ -596,8 +555,8 @@ def line_census(ctx, lines, tau):
     points, on = np.unique(rows[first], return_counts=True)
     covers = bool(np.array_equal(points, herm) and np.all(on == q + 1))
     miscovered = points[(on != q + 1) | ~geometry.lookup(herm, points)[1]]
-    canonical = [hl.line for hl in lines] + [hl.line for hl in tau] + list(index["lines"])
-    through = sorted((canonical[k], bool(k >= 2 * n))
+    canonical = np.concatenate([lines["rows"], tau["rows"], index["lines"]])
+    through = sorted((tuple(map(tuple, canonical[k].tolist())), bool(k >= 2 * n))
                      for k in first[np.any(rows[first] == codes[0, 0], axis=1)])
     expected_total = (q + 1) * (q ** 3 + 1)
     checks = {
@@ -612,7 +571,7 @@ def line_census(ctx, lines, tau):
            "expected_total": expected_total, "w_extended": w_extended, "orbit": orbit,
            "tau_orbit": tau_orbit, "disjoint": checks["disjoint"][0], "covers": covers}
     return _with_discrepancy(out, checks, lambda r: (
-        {"line_index": r % n, "rep": lines[r % n].rep} if r < 2 * n
+        {"line_index": r % n, "rep": int(lines["reps"][r % n])} if r < 2 * n
         else {"line_index": r - 2 * n, "rep": None}))
 
 
@@ -624,18 +583,17 @@ def klein_images(ctx, lines, tau, S):
     or qt(w') is not 0; where w + w' is not c W0 with c in GF(q)*; and where
     the extended lines L whose Klein images K_L (the points of Q(4, q),
     scaled into the conjugate pattern) are bt-orthogonal to w and w' are
-    not the spread of m_t, read off the `spread_incidence` S of the lines.
+    not the spread of m_t, read off the `spread_map` S of the lines.
     `geometry.klein_map` of m_t0 and of its twin derives the first minors a
     second time.
     """
     m = ctx.mul_arr
-    w, w_prime = (np.array([getattr(hl, k) for hl in lines], dtype=np.int64)
-                  for k in ("w", "w_prime"))
+    w, w_prime = lines["w"], lines["w_prime"]
     both = np.concatenate([w, w_prime])
     if np.any(both[:, 1::2] != ctx.frob_arr(both[:, 0::2], ctx.h)):  # `_bt` reads the pattern
         raise StructureError("a Klein vector does not have the conjugate pattern")
-    minors = [geometry.plucker_arr(ctx, R[:, 0], R[:, 1]) for R in
-              (np.array([hl.line for hl in ls], dtype=np.int64) for ls in (lines, tau))]
+    minors = [geometry.plucker_arr(ctx, ls["rows"][:, 0], ls["rows"][:, 1])
+              for ls in (lines, tau)]
     proj = [geometry.normalize_points(ctx, P) for P in (*minors, w, w_prime)]
     qt = lambda v: m(v[:, 0], v[:, 5]) ^ m(v[:, 1], v[:, 4]) ^ m(v[:, 2], v[:, 3])
     c = (w ^ w_prime)[:, 2]
@@ -648,8 +606,8 @@ def klein_images(ctx, lines, tau, S):
         raise StructureError(f"Klein image of extended line {int(np.argmin(scale))} "
                              f"left the pattern space")
     K = m(scale[:, None], K)[None]
-    perp = np.empty((len(lines), K.shape[1]), dtype=bool)
-    for a in range(0, len(lines), 128):  # blocks of rows keep the temporaries in cache
+    perp = np.empty((len(w), K.shape[1]), dtype=bool)
+    for a in range(0, len(w), 128):  # blocks of rows keep the temporaries in cache
         block = slice(a, a + 128)
         perp[block] = (_bt(ctx, w[block, None], K) == 0) & (_bt(ctx, w_prime[block, None], K) == 0)
     checks = {name: (not bad.any(), bad) for name, bad in (
@@ -658,13 +616,14 @@ def klein_images(ctx, lines, tau, S):
         ("w0_not_on_secant", ~on_secant),
         ("spread_image_mismatches",
          np.any(perp != (S == 1), axis=1)))}
-    scalar = [geometry.normalize_point(ctx, geometry.klein_map(ctx, ls[0].line))
-              for ls in (lines, tau)]
+    scalar = [geometry.normalize_point(ctx, geometry.klein_map(
+                  ctx, tuple(map(tuple, ls["rows"][0].tolist())))) for ls in (lines, tau)]
     checks["klein_map"] = (scalar == [tuple(P[0].tolist()) for P in proj[:2]],
-                           np.arange(len(lines)) == 0)
+                           np.arange(len(w)) == 0)
     out = {"pass": all(ok for ok, _ in checks.values()),
            **{name: int(bad.sum()) for name, (_, bad) in checks.items() if name != "klein_map"}}
-    return _with_discrepancy(out, checks, lambda i: {"line_index": i, "rep": lines[i].rep})
+    return _with_discrepancy(out, checks,
+                             lambda i: {"line_index": i, "rep": int(lines["reps"][i])})
 
 
 def _bt(ctx, U, V):

@@ -45,7 +45,8 @@ def lines_2(ctx2):
 
 
 @pytest.fixture(scope="session")
-def spreads_2(ctx2, lines_2):
+def S_2(ctx2, lines_2):
+    """The spread incidence of the hemisystem at h = 2."""
     return hemisystem.spread_map(ctx2, lines_2)
 
 

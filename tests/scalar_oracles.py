@@ -8,11 +8,14 @@ enumerate what the bulk `line_census` and `klein_images` count: every
 totally isotropic line through every isotropic point (as tuples,
 `hermitian_points`), and the GF(q)-spans and perps of the
 conjugate-pattern 6-space.  They are exhaustive only at h <= 2.  The last
-helper injects a wrong Klein image into both routes at once.
+helpers cut line sets apart and inject a wrong Klein image into both routes
+at once.
 """
 
 import itertools
 from functools import lru_cache
+
+import numpy as np
 
 from hxpw import conic
 from hxpw import geometry as g
@@ -149,9 +152,8 @@ def parabolic_point_set(ctx):
 def line_census(ctx):
     """`hemisystem.line_census` by enumerating the lines through every point."""
     all_lines = {line for p in hermitian_points(ctx) for line, _ in g.h_lines_through(ctx, p)}
-    lines = hs.build_hemisystem(ctx)
-    mset = {hl.line for hl in lines}
-    tset = {tau_line(ctx, hl.line) for hl in lines}
+    mset = set(map(line_tuple, hs.build_hemisystem(ctx)["rows"]))
+    tset = {tau_line(ctx, line) for line in mset}
     wset = set(g.w_lines(ctx))
     q = ctx.q
     expected_total = (q + 1) * (q ** 3 + 1)
@@ -163,23 +165,27 @@ def line_census(ctx):
             "disjoint": disjoint, "covers": covers}
 
 
-def klein_images(ctx, lines, spreads):
-    """`hemisystem.klein_images` through GF(q)-spans and perps, line by line."""
+def klein_images(ctx, lines, S):
+    """`hemisystem.klein_images` through GF(q)-spans and perps, line by line,
+    with the spread of line i the extended lines of the nonzero columns of S[i]."""
     norm = lambda v: g.normalize_point(ctx, v)
+    wl = g.w_line_index(ctx)["lines"]
+    rows = list(map(line_tuple, lines["rows"]))
+    ws = [tuple(map(tuple, w.tolist())) for w in (lines["w"], lines["w_prime"])]
     proj_fail = sum(
-        1 for hl in lines
-        if norm(g.klein_map(ctx, hl.line)) != norm(hl.w)
-        or norm(g.klein_map(ctx, tau_line(ctx, hl.line))) != norm(hl.w_prime))
+        1 for line, w, wp in zip(rows, *ws)
+        if norm(g.klein_map(ctx, line)) != norm(w)
+        or norm(g.klein_map(ctx, tau_line(ctx, line))) != norm(wp))
     q4set = parabolic_point_set(ctx)
     w0_fail = image_fail = singular_fail = 0
-    for hl in lines:
-        if g.qt(ctx, hl.w) != 0 or g.qt(ctx, hl.w_prime) != 0:
+    for w, wp, members in zip(*ws, S):
+        if g.qt(ctx, w) != 0 or g.qt(ctx, wp) != 0:
             singular_fail += 1
-        if vt_normalize(ctx, g.W0) not in vt_span_points(ctx, [hl.w, hl.w_prime]):
+        if vt_normalize(ctx, g.W0) not in vt_span_points(ctx, [w, wp]):
             w0_fail += 1
-        perp = vt_perp(ctx, [hl.w, hl.w_prime])
+        perp = vt_perp(ctx, [w, wp])
         quadric_pts = {p for p in vt_span_points(ctx, perp) if p in q4set}
-        if quadric_pts != {klein_vt(ctx, ln) for ln in spreads[hl.rep]}:
+        if quadric_pts != {klein_vt(ctx, wl[k]) for k in np.flatnonzero(members)}:
             image_fail += 1
     return {"pass": not (proj_fail or w0_fail or image_fail or singular_fail),
             "projective_mismatches": proj_fail, "w0_not_on_secant": w0_fail,
@@ -187,7 +193,22 @@ def klein_images(ctx, lines, spreads):
 
 
 # ---------------------------------------------------------------------------
-# a Klein-image fault
+# line sets taken apart, and a Klein-image fault
+
+def line_tuple(rows):
+    """A (2, 4) array of canonical rows as the tuple form of `geometry.line_through`."""
+    return tuple(map(tuple, rows.tolist()))
+
+
+def points_of(ctx, codes):
+    """The frozenset of coordinate tuples of a row of point codes."""
+    return frozenset(g.decode_point(ctx, c) for c in codes)
+
+
+def take(lines, idx):
+    """The line set of the lines `idx` of `lines`, in that order."""
+    return {k: v[np.asarray(idx)] for k, v in lines.items()}
+
 
 def perturbed_klein_image(ctx, k):
     """(extended line k, the pattern multiple of its Klein image plus W0).

@@ -129,11 +129,13 @@ def test_header_fields(cert2):
     assert cert2["canonical_sha256"] == canonical_hash(cert2)
 
 
-def test_golden_hashes(cert1, cert2):
+def test_golden_hashes(cert1, cert2, cert_h3_cli):
     # a change to the hashed content must come with a bump of `format`
-    assert cert1["format"] == cert2["format"] == "hxpw-certificate/6"
+    cert3 = cert_h3_cli["cert"]
+    assert cert1["format"] == cert2["format"] == cert3["format"] == "hxpw-certificate/6"
     assert cert1["canonical_sha256"] == "a2db9c07b1dd9c6ce4bff3662a3d52596627cb66d76f969c5210f82d4ef7d6e6"
     assert cert2["canonical_sha256"] == "27670a3103447bed5d7cd638d29d74dc912cba67e981b9ee176ada2904ffb845"
+    assert cert3["canonical_sha256"] == "4bc6e4ed17c247dde9d2b957b88265f2cce3787f187d13d3e8ab8f150b8e2e91"
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +370,10 @@ def test_corrupted_row_zero_spread_is_caught_by_the_scalar_check(monkeypatch, tm
     real = hemisystem.spread_map
 
     def corrupted(ctx, lines):
-        spreads = real(ctx, lines)
-        k = next(k for k in range(1, len(lines)) if lines[k].points & lines[0].points)
-        return {**spreads, lines[0].rep: spreads[lines[k].rep]}
+        S, codes = real(ctx, lines), lines["codes"]
+        k = next(k for k in range(1, len(codes)) if np.intersect1d(codes[k], codes[0]).size)
+        S[0] = S[k]
+        return S
 
     monkeypatch.setattr(hemisystem, "spread_map", corrupted)
     cert = _certify_h2_fails(tmp_path, capsys)
@@ -403,7 +406,8 @@ def test_line_counted_twice_fails_the_census(monkeypatch, tmp_path, capsys):
     k = 7
     real = hemisystem.line_census
     monkeypatch.setattr(hemisystem, "line_census", lambda ctx, lines, tau: real(
-        ctx, lines[:k] + tau[k:k + 1] + lines[k + 1:], tau))
+        ctx, {key: np.concatenate([a[:k], tau[key][k:k + 1], a[k + 1:]])
+              for key, a in lines.items()}, tau))
     cert = _certify_h2_fails(tmp_path, capsys)
     ctx = tower(2)
     census = cert["blocks"]["line_census"]
@@ -415,7 +419,8 @@ def test_line_counted_twice_fails_the_census(monkeypatch, tmp_path, capsys):
                                "first_discrepancy": census["first_discrepancy"]}
     # by hand: row k of the census is the tau twin of m_k, which the twins hold too
     lines = hemisystem.build_hemisystem(ctx)
-    assert so.tau_line(ctx, lines[k].line) == hemisystem.tau_lines(ctx, lines)[k].line
+    assert so.tau_line(ctx, so.line_tuple(lines["rows"][k])) == so.line_tuple(
+        hemisystem.tau_lines(ctx, lines)["rows"][k])
 
 
 def test_perturbed_klein_image_fails_klein_images(monkeypatch, tmp_path, capsys):
@@ -427,15 +432,18 @@ def test_perturbed_klein_image_fails_klein_images(monkeypatch, tmp_path, capsys)
     # whose spread holds extended line 0 (24 spreads hold it, and the image
     # is orthogonal to 32 other lines and to none of those 24)
     lines = hemisystem.build_hemisystem(ctx)
-    spreads = hemisystem.spread_map(ctx, lines)
-    wrong = [i for i, hl in enumerate(lines)
-             if (geometry.bt(ctx, image, hl.w) == geometry.bt(ctx, image, hl.w_prime) == 0)
-             != (line in spreads[hl.rep])]
+    S = hemisystem.spread_map(ctx, lines)
+    assert geometry.w_line_index(ctx)["lines"][0] == line
+    wrong = [i for i, (w, w_prime) in enumerate(zip(lines["w"].tolist(),
+                                                     lines["w_prime"].tolist()))
+             if (geometry.bt(ctx, image, w) == geometry.bt(ctx, image, w_prime) == 0)
+             != (S[i, 0] == 1)]
     assert len(wrong) == 56
     block = cert["blocks"]["klein_images"]
     assert block == {"pass": False, "projective_mismatches": 0, "nonsingular_images": 0,
                      "w0_not_on_secant": 0, "spread_image_mismatches": len(wrong),
-                     "first_discrepancy": {"line_index": wrong[0], "rep": lines[wrong[0]].rep,
+                     "first_discrepancy": {"line_index": wrong[0],
+                                           "rep": int(lines["reps"][wrong[0]]),
                                            "check": "spread_image_mismatches"}}
     assert cert["witness"] == {"block": "klein_images",
                                "first_discrepancy": block["first_discrepancy"]}
@@ -533,8 +541,14 @@ def test_line_swapped_for_its_twin_fails_the_line_mapping(monkeypatch, tmp_path,
 
 def _swap_two_twins(monkeypatch):
     real = hemisystem.tau_lines
-    monkeypatch.setattr(hemisystem, "tau_lines", lambda ctx, lines: (
-        lambda tau: tau[:3] + (tau[4], tau[3]) + tau[5:])(real(ctx, lines)))
+    monkeypatch.setattr(hemisystem, "tau_lines", lambda ctx, lines: so.take(
+        real(ctx, lines), [0, 1, 2, 4, 3, *range(5, len(lines["reps"]))]))
+
+
+def _dropped_line(monkeypatch):
+    real = hemisystem.verify_hemisystem
+    monkeypatch.setattr(hemisystem, "verify_hemisystem", lambda ctx, lines: real(
+        ctx, so.take(lines, range(1, len(lines["reps"])))))
 
 
 def _asymmetric_hx_entry(monkeypatch):
@@ -586,12 +600,47 @@ def _false_identity_flag(monkeypatch):
 
 VALUE_FAULTS = {"tau_consistency": _swap_two_twins, "scheme_hx": _asymmetric_hx_entry,
                 "eigenmatrix": _wrong_expected_p, "fine": _merged_fine_labels,
-                "identities": _false_identity_flag}
+                "identities": _false_identity_flag, "hemisystem": _dropped_line}
 
 
 @pytest.mark.parametrize("block", VALUE_FAULTS)
 def test_value_fault_fails_its_block(block, monkeypatch, tmp_path, capsys):
     VALUE_FAULTS[block](monkeypatch)
     cert = _certify_h2_fails(tmp_path, capsys)
+    ctx = tower(2)
     assert cert["witness"]["block"] == block
     assert cert["blocks"][block]["pass"] is False
+    if block == "tau_consistency":
+        # by hand: the twin in row 3 is tau(m_4), which subtends the spread of m_4
+        first = {"line_index": 3, "rep": pair_reps(ctx)[3], "check": "same_subtended_spreads"}
+        assert cert["blocks"][block]["first_discrepancy"] == first
+        assert cert["witness"] == {"block": block, "first_discrepancy": first}
+    if block == "hemisystem":
+        # by hand: the 17 points of m_0 lose one of their q/2 = 2 lines
+        report = cert["blocks"][block]
+        line_0 = so.points_of(ctx, hemisystem.build_hemisystem(ctx)["codes"][0])
+        assert report["violation_count"] == 17 and len(report["violations"]) == 16
+        for v in report["violations"]:
+            assert (v["count"], v["expected"]) == (1, 2) and tuple(v["point"]) in line_0
+        assert cert["witness"] == {"block": "hemisystem", "violation_count": 17}
+
+
+def test_tau_table_fault_names_the_pair(monkeypatch, tmp_path, capsys):
+    """The twins keep their spreads, but their table has one entry flipped."""
+    i, j = _class_2_pair(tower(2))
+    real = hemisystem.geometric_table
+    calls = []
+
+    def flipped_for_twins(ctx, lines, S):
+        table = real(ctx, lines, S)
+        calls.append(len(calls))
+        if len(calls) == 2:  # the first call is the geometric route, the second the twins'
+            table[i, j] = table[j, i] = 3
+        return table
+
+    monkeypatch.setattr(hemisystem, "geometric_table", flipped_for_twins)
+    cert = _certify_h2_fails(tmp_path, capsys)
+    first = {"pair_indices": [i, j], "tau": 3, "table": 2}
+    assert cert["blocks"]["tau_consistency"] == {
+        "pass": False, "same_subtended_spreads": True, "first_discrepancy": first}
+    assert cert["witness"] == {"block": "tau_consistency", "first_discrepancy": first}

@@ -15,14 +15,27 @@ import scalar_oracles as so
 
 
 def _hemi_line(ctx, t):
-    """m_t through scalar linear algebra: the oracle of `build_hemisystem`."""
+    """m_t through scalar linear algebra, the oracle of `build_hemisystem`:
+    (rep, canonical line, point set, w, w')."""
     r1 = so.rational_vector(ctx, t, 1)
     r2 = so.rational_vector(ctx, t, ctx.omega)
     line = g.line_through(ctx, r1, r2)
     points = frozenset(g.line_points(ctx, line))
     for p in points:
         assert g.is_isotropic(ctx, p) and not g.is_w_point(ctx, p)
-    return hs.HemiLine(t, line, points, hs.w_vec(ctx, t), hs.w_prime_vec(ctx, t))
+    return t, line, points, hs.w_vec(ctx, t), hs.w_prime_vec(ctx, t)
+
+
+def _line(ctx, lines, i):
+    """Line i of a line set in the form of `_hemi_line`."""
+    return (int(lines["reps"][i]), so.line_tuple(lines["rows"][i]),
+            so.points_of(ctx, lines["codes"][i]), tuple(lines["w"][i].tolist()),
+            tuple(lines["w_prime"][i].tolist()))
+
+
+def _members(S, i):
+    """The extended lines in the spread of line i: the nonzero columns of S[i]."""
+    return set(np.flatnonzero(S[i]).tolist())
 
 
 def _trace_to_base(ctx, a):
@@ -63,15 +76,19 @@ def test_theta_image_singular_on_middle_field():
 # line construction
 
 def test_lines_injective_and_counted(lines_2):
-    assert len(lines_2) == 120
-    assert len({hl.line for hl in lines_2}) == 120
+    assert {k: v.shape for k, v in lines_2.items()} == {
+        "reps": (120,), "rows": (120, 2, 4), "codes": (120, 17), "w": (120, 6),
+        "w_prime": (120, 6)}
+    assert not any(v.flags.writeable for v in lines_2.values())
+    assert len(set(map(so.line_tuple, lines_2["rows"]))) == 120
 
 
 def test_lines_isotropic_and_external(lines_2, ctx2):
     wset = g.w_point_set(ctx2)
-    for hl in lines_2:
-        assert len(hl.points) == 17
-        for p in hl.points:
+    for codes in lines_2["codes"]:
+        points = so.points_of(ctx2, codes)
+        assert len(points) == 17
+        for p in points:
             assert g.is_isotropic(ctx2, p)
             assert p not in wset
 
@@ -82,13 +99,14 @@ def test_bulk_lines_match_scalar_oracle():
         lines = hs.build_hemisystem(ctx)
         twins = hs.tau_lines(ctx, lines)
         for i in idx:
-            hl, oracle = lines[i], _hemi_line(ctx, pair_reps(ctx)[i])
-            assert (hl.rep, hl.line, hl.points, hl.w, hl.w_prime) == (
-                oracle.rep, oracle.line, oracle.points, oracle.w, oracle.w_prime)
-            tl = so.tau_line(ctx, hl.line)
-            assert (twins[i].rep, twins[i].line, twins[i].w, twins[i].w_prime) == (
-                hl.rep, tl, hl.w_prime, hl.w)
-            assert twins[i].points == frozenset(g.line_points(ctx, tl))
+            rep, line, points, w, w_prime = _line(ctx, lines, i)
+            assert (rep, line, points, w, w_prime) == _hemi_line(ctx, pair_reps(ctx)[i])
+            tl = so.tau_line(ctx, line)
+            assert _line(ctx, twins, i) == (
+                rep, tl, frozenset(g.line_points(ctx, tl)), w_prime, w)
+        # codes in the `line_points` order of the canonical rows, as `line_census` reads them
+        assert [g.decode_point(ctx, c) for c in lines["codes"][0]] == g.line_points(
+            ctx, so.line_tuple(lines["rows"][0]))
 
 
 def test_bulk_construction_rejects_bad_lines():
@@ -102,7 +120,7 @@ def test_bulk_construction_rejects_bad_lines():
         R1, R2 = hs._rational_rows(ctx)
         R1[7], R2[7] = rows
         with pytest.raises(StructureError, match=f"{message}.*\\(t={reps[7]}\\)"):
-            hs._hemi_lines(ctx, reps, R1, R2, [None] * 120, [None] * 120, True)
+            hs._line_set(ctx, reps, R1, R2, *np.zeros((2, 120, 6), dtype=np.int64))
 
 
 def test_tau_involution_on_random_lines():
@@ -130,9 +148,8 @@ def test_tau_fixes_extended_lines_h1():
 def test_tau_orbits_disjoint():
     for h in (1, 2):
         ctx = tower(h)
-        lines = hs.build_hemisystem(ctx)
-        mset = {hl.line for hl in lines}
-        tset = {so.tau_line(ctx, hl.line) for hl in lines}
+        mset = set(map(so.line_tuple, hs.build_hemisystem(ctx)["rows"]))
+        tset = {so.tau_line(ctx, line) for line in mset}
         assert not mset & tset
         assert len(tset) == len(mset)
 
@@ -152,8 +169,8 @@ def _cover_oracle(ctx, lines):
     """verify_hemisystem through a dict over point tuples."""
     wset = g.w_point_set(ctx)
     counts = {}
-    for hl in lines:
-        for p in hl.points:
+    for codes in lines["codes"]:
+        for p in so.points_of(ctx, codes):
             counts[p] = counts.get(p, 0) + 1
     bad = []
     for p in so.hermitian_points(ctx):
@@ -165,7 +182,7 @@ def _cover_oracle(ctx, lines):
 
 def test_cover_counts_match_dict_oracle(lines_2, ctx2):
     """Two lines dropped and one repeated: both counts name the same points."""
-    lines = lines_2[2:] + lines_2[5:6]
+    lines = so.take(lines_2, [*range(2, 120), 5])
     report = hs.verify_hemisystem(ctx2, lines)
     bad = _cover_oracle(ctx2, lines)
     assert not report["pass"] and report["violation_count"] == len(bad) > 16
@@ -185,89 +202,96 @@ def test_cover_double_count():
 # ---------------------------------------------------------------------------
 # subtended spreads
 
-def test_spread_sizes(ctx2, lines_2, spreads_2):
-    assert set(map(len, spreads_2.values())) == {17}
+def _line_set_of(ctx, reps, lines):
+    """The `spread_map` input of the canonical `lines`, from their scalar points."""
+    return {"reps": np.array(reps), "codes": g.point_codes(
+        ctx, np.array([g.line_points(ctx, line) for line in lines]))}
+
+
+def test_spread_sizes(ctx2, lines_2, S_2):
+    assert S_2.shape == (120, 85) and set(S_2.sum(axis=1).tolist()) == {17}
 
 
 def test_bulk_spreads_match_meeting_lines():
     for h in (1, 2, 3):
         ctx, idx = _oracle_lines(h)
-        lines = [hs.build_hemisystem(ctx)[i] for i in idx]
-        spreads = hs.spread_map(ctx, lines)
-        for hl in lines:
-            assert spreads[hl.rep] == frozenset(
-                g.w_meeting_line_through(ctx, p) for p in hl.points)
+        lines = so.take(hs.build_hemisystem(ctx), idx)
+        S = hs.spread_map(ctx, lines)
+        wl = g.w_line_index(ctx)["lines"]
+        for i, codes in enumerate(lines["codes"]):
+            assert {wl[k] for k in _members(S, i)} == {
+                g.w_meeting_line_through(ctx, p) for p in so.points_of(ctx, codes)}
 
 
 def test_spread_map_rejects_a_w_line(ctx2):
     line = next(iter(g.w_lines(ctx2)))
-    hl = hs.HemiLine(0, line, frozenset(g.line_points(ctx2, line)), None, None)
     with pytest.raises(StructureError, match="of rep=0 is not an external point"):
-        hs.spread_map(ctx2, [hl])
+        hs.spread_map(ctx2, _line_set_of(ctx2, [0], [line]))
 
 
-def test_tau_line_subtends_same_spread(ctx2, lines_2, spreads_2):
-    for hl in lines_2[:40]:
-        tl = so.tau_line(ctx2, hl.line)
-        tau_hl = hs.HemiLine(hl.rep, tl, frozenset(g.line_points(ctx2, tl)),
-                             hl.w_prime, hl.w)
-        tau_spread = hs.spread_map(ctx2, [tau_hl])[hl.rep]
-        assert tau_spread == spreads_2[hl.rep]
+def test_tau_line_subtends_same_spread(ctx2, lines_2, S_2):
+    twins = [so.tau_line(ctx2, so.line_tuple(rows)) for rows in lines_2["rows"][:40]]
+    tau_S = hs.spread_map(ctx2, _line_set_of(ctx2, lines_2["reps"][:40], twins))
+    assert np.array_equal(tau_S, S_2[:40])
 
 
-def test_spread_intersections_dichotomy(ctx2, lines_2, spreads_2):
+def test_spread_intersections_dichotomy(ctx2, lines_2, S_2):
     q = ctx2.q
-    for la, lb in itertools.combinations(lines_2, 2):
-        if la.points & lb.points:
+    points = [set(codes.tolist()) for codes in lines_2["codes"]]
+    for a, b in itertools.combinations(range(120), 2):
+        if points[a] & points[b]:
             continue
-        k = len(spreads_2[la.rep] & spreads_2[lb.rep])
+        k = len(_members(S_2, a) & _members(S_2, b))
         assert k in (1, q + 1)
 
 
 # ---------------------------------------------------------------------------
 # the three classification routes
 
-def _geometric_oracle(ctx, lines, spreads):
-    """geometric_class on every pair, row by row."""
-    n = len(lines)
+def _geometric_oracle(ctx, lines, S):
+    """geometric_class on every pair, row by row, naming the reps of a pair it rejects."""
+    reps, n = lines["reps"], len(lines["reps"])
+    points = [set(codes.tolist()) for codes in lines["codes"]]
     table = np.zeros((n, n), dtype=np.int8)
     for i in range(n):
         for j in range(i + 1, n):
-            table[i, j] = table[j, i] = hs.geometric_class(ctx, lines[i], lines[j], spreads)
+            try:
+                table[i, j] = table[j, i] = hs.geometric_class(
+                    ctx, points[i], points[j], _members(S, i), _members(S, j))
+            except StructureError as exc:
+                raise StructureError(f"reps {reps[i]}, {reps[j]}: {exc}")
     return table
 
 
-def _geometric_table(ctx, lines, spreads=None):
-    """`geometric_table` on the spread incidence of `spreads`, by default the lines' own."""
-    spreads = hs.spread_map(ctx, lines) if spreads is None else spreads
-    return hs.geometric_table(ctx, lines, hs.spread_incidence(ctx, lines, spreads))
+def _geometric_table(ctx, lines, S=None):
+    """`geometric_table` on the spread incidence S, by default the lines' own."""
+    return hs.geometric_table(ctx, lines, hs.spread_map(ctx, lines) if S is None else S)
 
 
 def test_bulk_geometric_table_matches_scalar_loop():
     for h in (1, 2):
         ctx = tower(h)
         lines = hs.build_hemisystem(ctx)
-        spreads = hs.spread_map(ctx, lines)
-        assert np.array_equal(_geometric_table(ctx, lines, spreads),
-                              _geometric_oracle(ctx, lines, spreads))
+        S = hs.spread_map(ctx, lines)
+        assert np.array_equal(_geometric_table(ctx, lines, S), _geometric_oracle(ctx, lines, S))
 
 
-def test_bulk_geometric_table_raises_where_the_loop_does(ctx2, lines_2, spreads_2):
+def test_bulk_geometric_table_raises_where_the_loop_does(ctx2, lines_2, S_2):
     """A repeated line shares all its points; a member dropped from a spread
     breaks the 1 or q + 1 count.  Both report the first bad pair in row order."""
-    shrunk = {**spreads_2, lines_2[4].rep: spreads_2[lines_2[4].rep] - {
-        next(iter(spreads_2[lines_2[4].rep]))}}
-    for lines, spreads in ((lines_2[:12] + lines_2[3:4], spreads_2),
-                           (lines_2[:12], shrunk)):
+    shrunk = S_2[:12].copy()
+    shrunk[4, np.argmax(shrunk[4])] = 0
+    for lines, S in ((so.take(lines_2, [*range(12), 3]), S_2[[*range(12), 3]]),
+                     (so.take(lines_2, range(12)), shrunk)):
         with pytest.raises(StructureError) as loop:
-            _geometric_oracle(ctx2, lines, spreads)
+            _geometric_oracle(ctx2, lines, S)
         with pytest.raises(StructureError) as bulk:
-            _geometric_table(ctx2, lines, spreads)
+            _geometric_table(ctx2, lines, S)
         assert str(bulk.value) == str(loop.value)
 
 
-def test_geometric_row_valencies(ctx2, lines_2, spreads_2):
-    table = _geometric_table(ctx2, lines_2, spreads_2)
+def test_geometric_row_valencies(ctx2, lines_2, S_2):
+    table = _geometric_table(ctx2, lines_2, S_2)
     for i in range(120):
         counts = {k: int(np.count_nonzero(table[i] == k)) for k in (1, 2, 3)}
         assert counts == {1: 17, 2: 34, 3: 68}
@@ -278,12 +302,12 @@ def test_h1_geometric_all_class_two():
     ctx = tower(1)
     lines = hs.build_hemisystem(ctx)
     table = _geometric_table(ctx, lines)
-    off = table[~np.eye(len(lines), dtype=bool)]
+    off = table[~np.eye(len(table), dtype=bool)]
     assert set(off.tolist()) == {2}
 
 
-def test_klein_equals_geometric(ctx2, lines_2, spreads_2, pw_bundle_2):
-    geo = _geometric_table(ctx2, lines_2, spreads_2)
+def test_klein_equals_geometric(ctx2, lines_2, S_2, pw_bundle_2):
+    geo = _geometric_table(ctx2, lines_2, S_2)
     assert np.array_equal(geo, pw_bundle_2["table"])
     ctx1 = tower(1)
     geo1 = _geometric_table(ctx1, hs.build_hemisystem(ctx1))
@@ -325,24 +349,25 @@ def test_klein_scalar_never_double_vanishes(ctx2):
 def test_klein_images_match_explicit_vectors():
     for h in (1, 2):
         ctx = tower(h)
-        for hl in hs.build_hemisystem(ctx):
-            assert (g.normalize_point(ctx, g.klein_map(ctx, hl.line))
-                    == g.normalize_point(ctx, hl.w))
-            assert (g.normalize_point(ctx, g.klein_map(ctx, so.tau_line(ctx, hl.line)))
-                    == g.normalize_point(ctx, hl.w_prime))
+        lines = hs.build_hemisystem(ctx)
+        for i in range(len(lines["reps"])):
+            _, line, _, w, w_prime = _line(ctx, lines, i)
+            assert g.normalize_point(ctx, g.klein_map(ctx, line)) == g.normalize_point(ctx, w)
+            assert (g.normalize_point(ctx, g.klein_map(ctx, so.tau_line(ctx, line)))
+                    == g.normalize_point(ctx, w_prime))
     ctx = tower(3)
     rng = random.Random(14)
     for t in rng.sample(pair_reps(ctx), 50):
-        hl = _hemi_line(ctx, t)
-        assert (g.normalize_point(ctx, g.klein_map(ctx, hl.line))
-                == g.normalize_point(ctx, hl.w))
+        _, line, _, w, _ = _hemi_line(ctx, t)
+        assert g.normalize_point(ctx, g.klein_map(ctx, line)) == g.normalize_point(ctx, w)
 
 
 def test_w0_on_every_secant():
     for h in (1, 2):
         ctx = tower(h)
-        for hl in hs.build_hemisystem(ctx):
-            span = so.vt_span_points(ctx, [hl.w, hl.w_prime])
+        lines = hs.build_hemisystem(ctx)
+        for w, w_prime in zip(lines["w"].tolist(), lines["w_prime"].tolist()):
+            span = so.vt_span_points(ctx, [w, w_prime])
             assert so.vt_normalize(ctx, g.W0) in span
     # h = 3 algebraic form: w + w' is a nonzero GF(q)-multiple of the pivot
     ctx = tower(3)
@@ -350,26 +375,28 @@ def test_w0_on_every_secant():
     assert np.all(A["tr"] != 0)
 
 
-def test_spread_image_is_perp_section(ctx2, lines_2, spreads_2):
+def test_spread_image_is_perp_section(ctx2, lines_2, S_2):
     q4set = so.parabolic_point_set(ctx2)
-    for hl in lines_2[:30]:
-        perp = so.vt_perp(ctx2, [hl.w, hl.w_prime])
+    wl = g.w_line_index(ctx2)["lines"]
+    for i in range(30):
+        perp = so.vt_perp(ctx2, [lines_2["w"][i].tolist(), lines_2["w_prime"][i].tolist()])
         section = {p for p in so.vt_span_points(ctx2, perp) if p in q4set}
-        image = {so.klein_vt(ctx2, ln) for ln in spreads_2[hl.rep]}
+        image = {so.klein_vt(ctx2, wl[k]) for k in _members(S_2, i)}
         assert section == image
 
 
 def test_radical_vector_orthogonal_to_plane(ctx2, lines_2):
     rng = random.Random(21)
     w0 = so.vt_from_coords(ctx2, so.vt_coords(ctx2, g.W0))
+    reps, ws = lines_2["reps"].tolist(), lines_2["w"].tolist()
     for _ in range(300):
-        la, lb = rng.sample(lines_2, 2)
-        trs = _trace_to_base(ctx2, ctx2.mul(la.rep, ctx2.frob_q(la.rep)))
-        trt = _trace_to_base(ctx2, ctx2.mul(lb.rep, ctx2.frob_q(lb.rep)))
-        b1 = g.bt(ctx2, la.w, lb.w)
-        v = tuple(ctx2.mul(trt, a) ^ ctx2.mul(b1, b) ^ ctx2.mul(trs, c)
-                  for a, b, c in zip(la.w, w0, lb.w))
-        for u in (la.w, w0, lb.w):
+        a, b = rng.sample(range(120), 2)
+        trs = _trace_to_base(ctx2, ctx2.mul(reps[a], ctx2.frob_q(reps[a])))
+        trt = _trace_to_base(ctx2, ctx2.mul(reps[b], ctx2.frob_q(reps[b])))
+        b1 = g.bt(ctx2, ws[a], ws[b])
+        v = tuple(ctx2.mul(trt, x) ^ ctx2.mul(b1, y) ^ ctx2.mul(trs, z)
+                  for x, y, z in zip(ws[a], w0, ws[b]))
+        for u in (ws[a], w0, ws[b]):
             assert g.bt(ctx2, v, u) == 0
 
 
@@ -458,15 +485,15 @@ def test_generators_map_lines_to_lines_scalar():
     never onto a tau twin, and the Moebius maps reach every pair from index 0."""
     for h in (1, 2):
         ctx = tower(h)
-        lines = hs.build_hemisystem(ctx)
+        lines = list(map(so.line_tuple, hs.build_hemisystem(ctx)["rows"]))
         reps = pair_reps(ctx)
-        twins = {so.tau_line(ctx, hl.line) for hl in lines}
+        twins = {so.tau_line(ctx, line) for line in lines}
         for g_ in hs.mobius_generators(ctx).values():
             M = hs.chi_matrix(ctx, g_)
-            for hl in lines:
-                image = g.line_through(ctx, *(hs.apply4(ctx, M, r) for r in hl.line))
-                u = hs.moebius(ctx, g_, hl.rep)
-                assert image == lines[reps.index(min(u, ctx.conj(u)))].line
+            for t, line in zip(reps, lines):
+                image = g.line_through(ctx, *(hs.apply4(ctx, M, r) for r in line))
+                u = hs.moebius(ctx, g_, t)
+                assert image == lines[reps.index(min(u, ctx.conj(u)))]
                 assert image not in twins
         assert so.moebius_orbit(ctx, hs.mobius_generators(ctx).values()) == set(range(len(reps)))
 
@@ -504,13 +531,18 @@ def test_line_census_matches_the_enumeration():
         assert hs.line_census(ctx, lines, hs.tau_lines(ctx, lines)) == so.line_census(ctx)
 
 
-def _swap_klein_vectors(hl):
-    return hs.HemiLine(hl.rep, hl.line, hl.points, hl.w_prime, hl.w)
+def _swap_klein_vectors(lines, i):
+    """The line set with w and w' of line i exchanged."""
+    w, w_prime = lines["w"].copy(), lines["w_prime"].copy()
+    w[i], w_prime[i] = lines["w_prime"][i], lines["w"][i]
+    return {**lines, "w": w, "w_prime": w_prime}
 
 
-def _shift_klein_vector(hl):
-    return hs.HemiLine(hl.rep, hl.line, hl.points, tuple(a ^ b for a, b in zip(hl.w, g.W0)),
-                       hl.w_prime)
+def _shift_klein_vector(lines, i):
+    """The line set with W0 added to w of line i."""
+    w = lines["w"].copy()
+    w[i] ^= np.array(g.W0)
+    return {**lines, "w": w}
 
 
 def test_klein_images_match_the_span_oracle(monkeypatch):
@@ -518,21 +550,20 @@ def test_klein_images_match_the_span_oracle(monkeypatch):
         ctx = tower(h)
         lines = hs.build_hemisystem(ctx)
         tau = hs.tau_lines(ctx, lines)
-        spreads = hs.spread_map(ctx, lines)
-        S = hs.spread_incidence(ctx, lines, spreads)
+        S = hs.spread_map(ctx, lines)
         clean = hs.klein_images(ctx, lines, tau, S)
-        assert clean["pass"] and clean == so.klein_images(ctx, lines, spreads)
+        assert clean["pass"] and clean == so.klein_images(ctx, lines, S)
         for fault in (_swap_klein_vectors, _shift_klein_vector):
-            bad = lines[:3] + (fault(lines[3]),) + lines[4:]
+            bad = fault(lines, 3)
             faulty = hs.klein_images(ctx, bad, tau, S)
             assert faulty["first_discrepancy"] == {
-                "line_index": 3, "rep": lines[3].rep, "check": "projective_mismatches"}
+                "line_index": 3, "rep": pair_reps(ctx)[3], "check": "projective_mismatches"}
             del faulty["first_discrepancy"]
-            assert faulty == so.klein_images(ctx, bad, spreads)
+            assert faulty == so.klein_images(ctx, bad, S)
         with monkeypatch.context() as mp:
             assert g.qt(ctx, so.perturb_klein_image(mp, ctx, 0)[1]) == 1
             faulty = hs.klein_images(ctx, lines, tau, S)
-            oracle = so.klein_images(ctx, lines, spreads)
+            oracle = so.klein_images(ctx, lines, S)
         assert not faulty["pass"] and faulty["spread_image_mismatches"] > 0
         assert faulty["first_discrepancy"]["check"] == "spread_image_mismatches"
         assert {k: v for k, v in faulty.items() if k != "first_discrepancy"} == oracle
