@@ -33,9 +33,12 @@ def test_build_fine_h2(tmp_path):
     assert doc["header"]["class_count"] == 7
 
 
-def test_build_pw_matches_hx(tmp_path):
+def test_build_pw_matches_hx(tmp_path, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["build", "--h", "1", "--family", "hx", "--out", str(a)]) == 0
+    # the pw family reads the Klein table alone
+    monkeypatch.setattr(cli.conic, "table_bundle",
+                        lambda ctx: pytest.fail("build --family pw built the conic tables"))
     assert main(["build", "--h", "1", "--family", "pw", "--out", str(b)]) == 0
     assert (json.loads(a.read_text())["classes"]
             == json.loads(b.read_text())["classes"])
