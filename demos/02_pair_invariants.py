@@ -3,7 +3,8 @@
 Points are the 120 unordered pairs {t, t^(q^2)} with t outside GF(q^2).
 A cross-ratio-like invariant rho feeds the trace invariant
 rhat = 1/(rho + rho^(-1)), and membership of rhat in three subsets of the
-zero-trace elements of GF(q^2) assigns one of three classes.
+zero-trace elements of GF(q^2) assigns one of three classes.  The pairs
+are also the passant lines of a conic.
 """
 
 from collections import Counter
@@ -33,6 +34,8 @@ print(f"\nrefined scheme: {len(fine)} classes keyed by the value pair "
 grouping = Counter(fine.values())
 print("refined classes per coarse class:", dict(sorted(grouping.items())))
 
-# one planar realization: the line of the pair misses the fixed conic
-line = conic.pair_line(ctx, s)
-print("\npair line misses the conic:", conic.line_misses_conic(ctx, line))
+# the planar picture: the line through the two points of each pair misses
+# the conic of PG(2, q^2), and every such passant is reached exactly once
+a, b = conic.pair_lines(ctx)
+print(f"\nline of pair 0: {a[0]} x0 + {b[0]} x1 + x2 = 0")
+print("passants block:", conic.passants(ctx))

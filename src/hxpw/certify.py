@@ -2,10 +2,11 @@
 
 `certify` builds both relation tables on the shared conjugate-pair index
 set, runs every classification route the package implements, checks the
-structural claims each side must satisfy on its own (hemisystem covering,
-scheme axioms, eigenmatrix, Krein nonnegativity and the cometric ordering,
-the strongly regular fusion, the group action and its single orbit), and
-assembles one machine-readable certificate dict.
+structural claims each side must satisfy on its own (the pairs as the
+passants of the conic, hemisystem covering, scheme axioms, eigenmatrix,
+Krein nonnegativity and the cometric ordering, the strongly regular fusion,
+the group action and its single orbit), and assembles one machine-readable
+certificate dict.
 
 The identity map on pair indices is the certified bijection: the two
 tables must agree entry by entry with class indices preserved, which is
@@ -16,23 +17,25 @@ property verified on the hx table holds for the pw table; the certificate
 records this as a remark instead of repeating those blocks.
 
 The checks run as the ordered stages of `STAGES`, and one loop does the
-bookkeeping for all of them.  Every certificate holds the same fourteen
+bookkeeping for all of them.  Every certificate holds the same fifteen
 blocks, each with a `pass` flag or `skipped` with a reason: a stage whose
 predicate on h gives a reason is skipped, an exception inside a stage
 fails that stage's blocks with the exception as the error, and once the
-`routes` block fails every later block is skipped.  Both algebraic routes
-and all three identities are swept over every pair at every h, and the
-`automorphisms` stage checks PGL(2, q^2) exactly on three generators at
-every h, writing the `orbit` and `automorphisms` blocks.  Above
+`routes` block fails every later block is skipped.  At every h, both
+algebraic routes and all three identities are swept over every pair, the
+`automorphisms` stage checks PGL(2, q^2) exactly on three generators,
+writing `orbit` and `automorphisms`, and `passants` shows that the pair
+lines are the passants of the conic of PG(2, q^2).  Above
 TABLE_MAX_H no table is built, so the blocks that read tables are skipped.
 Up to TABLE_MAX_H the geometric route, recorded in `routes.geometric`,
 also classifies every pair, and `tau_consistency`, the line census and the
 Klein images run on what that route builds: the line-set arrays and their
-spread incidence S.  A failing census, Klein, tau, orbit or automorphisms
-block names its first bad line, pair, generator or point in `first_discrepancy`.
+spread incidence S.  A failing identities, passants, census, Klein, tau,
+orbit, automorphisms or eigenmatrix block names its first bad pair, line,
+generator, point or P row in `first_discrepancy`.
 
 Nothing in a certificate is sampled: it is a deterministic function of h,
-in the format `hxpw-certificate/6`.  Two runs produce byte-identical
+in the format `hxpw-certificate/7`.  Two runs produce byte-identical
 canonical JSON, and `canonical_hash` excludes only the per-stage
 wall-clock `timings` block.
 """
@@ -57,6 +60,8 @@ VERSION = "0.1.0"
 TABLE_MAX_H = 3
 # The keys of a failed block that go into the certificate's witness.
 WITNESS_KEYS = ("error", "first_discrepancy", "geometric", "violation_count", "result")
+# The identities that the `identities` block checks, in the order its witness prefers.
+IDENTITIES = ("closed_form", "factorization", "pairing_shift")
 
 
 def canonical_json(cert: dict) -> str:
@@ -102,7 +107,7 @@ def certify(h: int) -> dict:
                 k: v for k, v in blocks[failed[0]].items()
                 if k in WITNESS_KEYS and v is not None}}
     cert = {
-        "format": "hxpw-certificate/6",
+        "format": "hxpw-certificate/7",
         "header": {
             "version": VERSION, "h": h, "q": ctx.q, "n": len(pair_reps(ctx)),
             "modulus_hex": hex(ctx.modulus), "omega": ctx.omega,
@@ -151,8 +156,9 @@ def _algebraic_routes(st):
         else:
             hx = st.hx = conic.table_bundle(ctx)
             pw = hemisystem.klein_table_bundle(ctx)
-            flags = (hx["closed_form_ok"], pw["factorization_ok"], pw["shift_ok"])
-            chunks = ((si, ti, hx["table"][si, ti], pw["table"][si, ti], *flags)
+            failures = (hx["closed_form_failure"], pw["factorization_failure"],
+                        pw["shift_failure"])
+            chunks = ((si, ti, hx["table"][si, ti], pw["table"][si, ti], *failures)
                       for si, ti in conic.pair_chunks(len(hx["table"])))
         routes, identities = _route_blocks(ctx, chunks)
     except (ClassificationError, StructureError) as exc:
@@ -238,6 +244,7 @@ STAGES = (
     ("automorphisms", ("orbit", "automorphisms"), _always,
           lambda st: hemisystem.verify_automorphisms(
               st.ctx, None if st.hx is None else st.hx["fine_table"])),
+    ("passants", ("passants",), _always, lambda st: {"passants": conic.passants(st.ctx)}),
     ("geometric", ("routes",), _tables, _geometric_route),
     ("class_counts", ("class_counts",), _tables, _class_counts),
     ("hemisystem", ("hemisystem",), _tables,
@@ -294,23 +301,26 @@ def _row_zero_discrepancy(ctx, geo, lines, S):
 def _analytics_blocks(q, an):
     """The `eigenmatrix`, `krein` and `srg` blocks of the verified hx scheme."""
     P, Q, mult = an.eigenmatrix()
-    match = set(map(tuple, P)) == set(map(tuple, schemes.expected_p_matrix(q)))
+    expected = set(map(tuple, schemes.expected_p_matrix(q)))
+    match = set(map(tuple, P)) == expected
     kr = an.krein()
     qpoly = an.q_polynomial_orderings()
     ppoly = an.p_polynomial_orderings()
     prim = an.primitivity()
     srg_expected = {"v": q * q * (q * q - 1) // 2, "k": (q * q + 1) * (q - 1),
                     "lambda": q * q + q - 2, "mu": 2 * (q * q - q)}
-    merged = _srg_fusion_classes(an, srg_expected["k"])
-    res = an.srg_parameters(merged)
+    res = an.srg_parameters([1, 2])
     srg_ok = (res.get("pass") and not res.get("degenerate")
-              and all(res[k] == srg_expected[k] for k in srg_expected)
-              and merged == [1, 2])
+              and all(res[k] == srg_expected[k] for k in srg_expected))
+    eigen = {"pass": match, "P": _frac_matrix(P), "Q": _frac_matrix(Q),
+             "multiplicities": mult, "matches_family_formula": match}
+    if not match:
+        # P is invertible, so its rows are distinct and one lies outside the formula's
+        r = next(r for r, row in enumerate(P) if tuple(row) not in expected)
+        eigen["first_discrepancy"] = {"P_row": r, "row": eigen["P"][r],
+                                      "check": "not_in_family_formula"}
     return {
-        "eigenmatrix": {
-            "pass": match, "P": _frac_matrix(P), "Q": _frac_matrix(Q),
-            "multiplicities": mult, "matches_family_formula": match,
-        },
+        "eigenmatrix": eigen,
         "krein": {
             "pass": bool(qpoly) and not ppoly and prim["pass"],
             "parameters": [[[frac_str(kr[k][i][j]) for j in range(4)]
@@ -320,18 +330,9 @@ def _analytics_blocks(q, an):
             "p_polynomial_orderings": ppoly,
             "primitive": prim["pass"],
         },
-        "srg": {"pass": bool(srg_ok), "merged_classes": merged,
+        "srg": {"pass": bool(srg_ok), "merged_classes": [1, 2],
                 "result": res, "expected": srg_expected},
     }
-
-
-def _srg_fusion_classes(analytics, target_k):
-    """The 2-class merge whose total valency hits the expected degree."""
-    k = analytics.valencies
-    for merged in ([1, 2], [1, 3], [2, 3]):
-        if sum(k[c] for c in merged) == target_k:
-            return merged
-    raise SchemeAxiomError(f"no 2-class fusion has degree {target_k}")
 
 
 def _fine_block(ctx, hx):
@@ -374,25 +375,29 @@ def _classified_chunks(ctx):
 def _route_blocks(ctx, chunks):
     """The `routes` and `identities` blocks from one pass over every pair.
 
-    `chunks` yields (si, ti, class_hx, class_klein, closed_form_ok,
-    factorization_ok, pairing_shift_ok) per block of pairs i < j, in row
-    order, so the first discrepancy is the same whichever sweep feeds it.
+    `chunks` yields (si, ti, class_hx, class_klein, *failures) per block of
+    pairs i < j, in row order, with failures[m] the first pair where
+    IDENTITIES[m] fails, or None, so the first discrepancy is the same
+    whichever sweep feeds it.
     """
     confusion = np.zeros(9, dtype=np.int64)
     pairs = 0
-    ok = [True, True, True]
+    failures = [None] * len(IDENTITIES)
     first = None
-    for si, ti, a, b, *flags in chunks:
+    for si, ti, a, b, *fails in chunks:
         pairs += int(si.size)
         confusion += np.bincount(3 * a.astype(np.intp) + b - 4, minlength=9)
-        ok = [x and y for x, y in zip(ok, flags)]
+        failures = [x or y for x, y in zip(failures, fails)]
         if first is None and not np.array_equal(a, b):
             k = int(np.argmax(a != b))
             first = _discrepancy(ctx, int(si[k]), int(ti[k]), int(a[k]), int(b[k]))
-    closed, fact, shift = ok
-    identities = {"pass": closed and fact and shift, "pairs_swept": pairs,
-                  "closed_form_ok": closed, "factorization_ok": fact,
-                  "pairing_shift_ok": shift}
+    identities = {"pass": not any(failures), "pairs_swept": pairs,
+                  **{f"{name}_ok": f is None for name, f in zip(IDENTITIES, failures)}}
+    for name, pair in zip(IDENTITIES, failures):
+        if pair:
+            identities["first_discrepancy"] = {"identity": name, "pair_indices": pair,
+                                               "reps": [pair_reps(ctx)[i] for i in pair]}
+            break
     routes = {"pass": first is None, "pairs": pairs,
               "hx_vs_klein_confusion": confusion.reshape(3, 3).tolist(),
               "first_discrepancy": first, "geometric": None}

@@ -60,11 +60,9 @@ def _family_bundle(h: int, family: str):
         table, d = hemisystem.klein_table_bundle(ctx)["table"], 3
     elif family == "hx":
         table, d = conic.table_bundle(ctx)["table"], 3
-    elif family == "fine":
+    else:  # fine
         hx = conic.table_bundle(ctx)
         table, d = hx["fine_table"], len(hx["fine_to_coarse"])
-    else:
-        raise ValueError(f"unknown family {family!r}")
     valencies = [int(np.count_nonzero(table[0] == k)) for k in range(1, d + 1)]
     header = {"h": h, "q": ctx.q, "n": table.shape[0],
               "modulus_hex": hex(ctx.modulus), "family": family,
@@ -100,13 +98,10 @@ def cmd_build(args) -> int:
     if args.format == "json":
         doc = {"header": header, "classes": table.tolist()}
         _write_out(args.out, (json.dumps(doc, sort_keys=True) + "\n").encode())
-    elif args.format == "csv":
+    else:  # csv
         lines = [f"# {k}={v}" for k, v in header.items() if k != "point_reps"]
         lines += [",".join(str(int(x)) for x in row) for row in table]
         _write_out(args.out, ("\n".join(lines) + "\n").encode())
-    else:
-        print(f"build supports json or csv, not {args.format}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -133,39 +128,36 @@ def cmd_export(args) -> int:
             return 1
         _write_out(args.out, graph6_bytes(adj))
         return 0
-    if args.format in ("csv", "json"):
-        an = schemes.verify_scheme(schemes.RelationTable(table, d=header["class_count"]))
-        P, Q, mult = an.eigenmatrix()
-        kr = an.krein()
-        d1 = an.d + 1
-        fs = schemes.frac_str
-        if args.format == "json":
-            doc = {"header": {k: v for k, v in header.items() if k != "point_reps"},
-                   "P": [[fs(x) for x in row] for row in P],
-                   "Q": [[fs(x) for x in row] for row in Q],
-                   "multiplicities": mult,
-                   "krein": [[[fs(kr[k][i][j]) for j in range(d1)]
-                              for i in range(d1)] for k in range(d1)],
-                   "p_numbers": an.p}
-            _write_out(args.out, (json.dumps(doc, sort_keys=True) + "\n").encode())
-            return 0
-        lines = [f"# {k}={v}" for k, v in header.items() if k != "point_reps"]
-        lines.append("P")
-        lines += [",".join(fs(x) for x in row) for row in P]
-        lines.append("Q")
-        lines += [",".join(fs(x) for x in row) for row in Q]
-        lines.append("multiplicities")
-        lines.append(",".join(str(m) for m in mult))
-        for k in range(d1):
-            lines.append(f"krein k={k}")
-            lines += [",".join(fs(kr[k][i][j]) for j in range(d1)) for i in range(d1)]
-        for k in range(d1):
-            lines.append(f"p-numbers k={k}")
-            lines += [",".join(f"{an.p[k][i][j]}/1" for j in range(d1)) for i in range(d1)]
-        _write_out(args.out, ("\n".join(lines) + "\n").encode())
+    an = schemes.verify_scheme(schemes.RelationTable(table, d=header["class_count"]))
+    P, Q, mult = an.eigenmatrix()
+    kr = an.krein()
+    d1 = an.d + 1
+    fs = schemes.frac_str
+    if args.format == "json":
+        doc = {"header": {k: v for k, v in header.items() if k != "point_reps"},
+               "P": [[fs(x) for x in row] for row in P],
+               "Q": [[fs(x) for x in row] for row in Q],
+               "multiplicities": mult,
+               "krein": [[[fs(kr[k][i][j]) for j in range(d1)]
+                          for i in range(d1)] for k in range(d1)],
+               "p_numbers": an.p}
+        _write_out(args.out, (json.dumps(doc, sort_keys=True) + "\n").encode())
         return 0
-    print(f"unknown export format {args.format}", file=sys.stderr)
-    return 2
+    lines = [f"# {k}={v}" for k, v in header.items() if k != "point_reps"]
+    lines.append("P")
+    lines += [",".join(fs(x) for x in row) for row in P]
+    lines.append("Q")
+    lines += [",".join(fs(x) for x in row) for row in Q]
+    lines.append("multiplicities")
+    lines.append(",".join(str(m) for m in mult))
+    for k in range(d1):
+        lines.append(f"krein k={k}")
+        lines += [",".join(fs(kr[k][i][j]) for j in range(d1)) for i in range(d1)]
+    for k in range(d1):
+        lines.append(f"p-numbers k={k}")
+        lines += [",".join(f"{an.p[k][i][j]}/1" for j in range(d1)) for i in range(d1)]
+    _write_out(args.out, ("\n".join(lines) + "\n").encode())
+    return 0
 
 
 def _parse_classes(text: str, d: int):
@@ -177,6 +169,9 @@ def _parse_classes(text: str, d: int):
         print(f"--classes must name classes in 1..{d}", file=sys.stderr)
         raise SystemExit(2)
     return classes
+
+
+COMMANDS = {"build": cmd_build, "certify": cmd_certify, "export": cmd_export}
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +223,12 @@ def main(argv=None) -> int:
         return 2
     try:
         with _threads_context(args.threads):
-            if args.command == "build":
-                return cmd_build(args)
-            if args.command == "certify":
-                return cmd_certify(args)
-            if args.command == "export":
-                return cmd_export(args)
+            return COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, schemes.SchemeAxiomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

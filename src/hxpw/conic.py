@@ -22,11 +22,9 @@ there, any occurrence is reported as a hard failure, never guessed around.
 of `pair_chunks`; `table_bundle` scatters the blocks into n x n tables and
 `certify` reduces them without tables where those are too large.
 
-Every pair can also be realized as a line of PG(2, q^2) missing the fixed
-conic {(1, c, c^2)} u {(0, 0, 1)}: the unique GF(q^2)-rational line whose
-quadratic extension cuts the extended conic exactly in the pair's two
-points.  That realization is kept as a consistency layer; the pair set
-itself is the primary index set.
+The pairs are also the passants of the conic {(1, c, c^2)} u {(0, 0, 1)}
+of PG(2, q^2): `passants` checks in bulk that the line joining the two
+points of each pair is one, and that every passant is reached once.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import geometry
 from .fields import FieldTower
 
 
@@ -154,9 +151,16 @@ def rho_of_pairs(ctx, si, ti):
     return ctx.div_arr(num, den)
 
 
+def first_pair(si, ti, bad):
+    """[si[k], ti[k]] at the first k where the bool array `bad` holds, or None."""
+    k = int(np.argmax(bad))
+    return [int(si[k]), int(ti[k])] if bad[k] else None
+
+
 def classify_pairs(ctx, si, ti):
-    """(class 1..3, fine key min(rho, rho^(-1)), closed_form_ok) of the
-    pairs (si[k], ti[k]); closed_form_ok says rhat == nu^2 + nu held on all.
+    """(class 1..3, fine key min(rho, rho^(-1)), closed_form_failure) of the
+    pairs (si[k], ti[k]); closed_form_failure is the first pair of indices
+    where rhat == nu^2 + nu fails, or None.
 
     Raises ClassificationError on rho = 1 or on a rhat outside every class.
     """
@@ -168,14 +172,14 @@ def classify_pairs(ctx, si, ti):
         raise ClassificationError(f"rho = 1 at pair indices ({int(si[k])}, {int(ti[k])})")
     rhat = ctx.inv_arr(d)
     nu_arr = ctx.inv_arr(r ^ 1)
-    closed_form_ok = bool(np.array_equal(ctx.mul_arr(nu_arr, nu_arr) ^ nu_arr, rhat))
+    closed_form_failure = first_pair(si, ti, ctx.mul_arr(nu_arr, nu_arr) ^ nu_arr != rhat)
     cls = trace_sets(ctx)["cls"][rhat]
     if np.any(cls == 0):
         k = int(np.argmax(cls == 0))
         raise ClassificationError(
             f"rhat value {int(rhat[k])} outside every class at pair indices "
             f"({int(si[k])}, {int(ti[k])})")
-    return cls, np.minimum(r, rinv), closed_form_ok
+    return cls, np.minimum(r, rinv), closed_form_failure
 
 
 def table_bundle(ctx):
@@ -183,73 +187,75 @@ def table_bundle(ctx):
 
     Returns a dict with the int8 class `table`, the int16 `fine_table`
     (fine class k is the k-th smallest fine key that occurs),
-    `fine_to_coarse` (fine class -> coarse class) and `closed_form_ok`.
+    `fine_to_coarse` (fine class -> coarse class), `closed_form_ok` and
+    `closed_form_failure`, the first pair where the closed form fails.
     """
     n = len(pair_reps(ctx))
     table = np.zeros((n, n), dtype=np.int8)
     keys = np.zeros((n, n), dtype=np.min_scalar_type(ctx.size - 1))
     coarse_of_key = np.zeros(ctx.size, dtype=np.int8)  # 0: key absent
-    closed_form_ok = True
+    failure = None
     for si, ti in pair_chunks(n):
         cls, key, closed = classify_pairs(ctx, si, ti)
         table[si, ti] = table[ti, si] = cls
         keys[si, ti] = keys[ti, si] = key
         coarse_of_key[key] = cls
-        closed_form_ok = closed_form_ok and closed
+        failure = failure or closed
     labels = np.flatnonzero(coarse_of_key)
     lut = np.zeros(ctx.size, dtype=np.int16)
     lut[labels] = np.arange(1, labels.size + 1)
     return {"table": table, "fine_table": lut[keys],
             "fine_to_coarse": {k: int(coarse_of_key[lam])
                                for k, lam in enumerate(labels, start=1)},
-            "closed_form_ok": closed_form_ok}
+            "closed_form_ok": failure is None, "closed_form_failure": failure}
 
 
 # ---------------------------------------------------------------------------
-# planar consistency layer
+# the pairs as the passants of the conic
 
-def conic_points(ctx):
-    """The fixed conic of PG(2, q^2): {(1, c, c^2)} u {(0, 0, 1)}."""
-    pts = [(1, c, ctx.sqr(c)) for c in ctx.subfield(2 * ctx.h)]
-    pts.append((0, 0, 1))
-    return pts
+def pair_lines(ctx):
+    """Per rep t, the line a x0 + b x1 + x2 = 0 of PG(2, q^2) through
+    (1, t, t^2) and its conjugate: a = t t^(q^2) and b = t + t^(q^2)."""
+    t, conj = _pair_arrays(ctx)
+    return ctx.mul_arr(t, conj), t ^ conj
 
 
-def pair_line(ctx, t):
-    """The GF(q^2)-rational line joining (1,t,t^2) to its conjugate point.
+def passants(ctx):
+    """The `passants` block: the pair lines are exactly the passants of the conic.
 
-    The rational vectors in the extension span are c*(1,t,t^2) +
-    c^(q^2)*(conjugate); taking c in {1, omega} gives a basis.
+    A line with x2-coefficient 0 holds (0, 0, 1), and (a, b, 1) meets the
+    conic exactly when a = c^2 + b c for some c in GF(q^2).  So the sorted
+    codes a << 4h | b of the pair lines must equal the complement of
+    {(c^2 + b c, b)} in GF(q^2)^2, which shows at once that the map is
+    injective, that every image misses the conic and that the census is n.
+    A failure names the first pair, with its line, whose line is not a
+    passant, repeats an earlier line or misses the rep, or else the first
+    passant no pair reaches.
     """
-    cj = ctx.conj
-    a = (1, t, ctx.sqr(t))
-    b = tuple(cj(x) for x in a)
-    rows = []
-    for lam in (1, ctx.omega):
-        lam2 = cj(lam)
-        rows.append(tuple(ctx.mul(lam, x) ^ ctx.mul(lam2, y) for x, y in zip(a, b)))
-    red, _ = geometry.rref_rows(ctx, rows)
-    if len(red) != 2:
-        raise RuntimeError(f"conjugate point pair for t={t} did not span a line")
-    return tuple(red)
-
-
-def line_misses_conic(ctx, line):
-    """True when no conic point satisfies both line equations."""
-    kern = geometry.nullspace(ctx, list(line), 3)
-    if len(kern) != 1:
-        raise ValueError("expected a line of PG(2, q^2)")
-    (f,) = kern  # the dual functional cutting the line out
-    on_line = lambda p: ctx.mul(f[0], p[0]) ^ ctx.mul(f[1], p[1]) ^ ctx.mul(f[2], p[2]) == 0
-    return not any(on_line(p) for p in conic_points(ctx))
-
-
-def passant_census(ctx):
-    """Count lines of PG(2, q^2) missing the conic (expected (q^4-q^2)/2)."""
-    count = 0
-    for dual in geometry.projective_points(ctx, 3):
-        kern = geometry.nullspace(ctx, [dual], 3)
-        line, _ = geometry.rref_rows(ctx, kern)
-        if line_misses_conic(ctx, tuple(line)):
-            count += 1
-    return count
+    t = np.array(pair_reps(ctx), dtype=np.int64)
+    a, b = pair_lines(ctx)
+    # with a, b in GF(q^2), as the set equality shows, t^(q^2) is on the line with t
+    off = (a ^ ctx.mul_arr(b, t) ^ ctx.mul_arr(t, t)) != 0
+    F = np.array(ctx.subfield(2 * ctx.h), dtype=np.int64)
+    B, C, shift = F[:, None], F[None, :], 4 * ctx.h
+    met = (ctx.mul_arr(C, C) ^ ctx.mul_arr(B, C)) << shift | B
+    passant = np.setdiff1d(C << shift | B, met)  # sorted
+    codes = a << shift | b
+    ordered = np.sort(codes)
+    block = {"pass": bool(np.array_equal(ordered, passant)) and not off.any(),
+             "lines": int(np.count_nonzero(np.diff(ordered))) + 1,
+             "passants": int(passant.size), "joins_conjugate_points": not off.any()}
+    if block["pass"]:
+        return block
+    shared = np.ones(t.size, dtype=bool)
+    shared[np.unique(codes, return_index=True)[1]] = False
+    line = lambda c: [int(c) >> shift, int(c) & ((1 << shift) - 1), 1]
+    for check, bad in (("not_a_passant", ~np.isin(codes, passant)), ("shared_line", shared),
+                       ("joins_conjugate_points", off)):
+        if bad.any():
+            k = int(np.argmax(bad))
+            first = {"index": k, "rep": int(t[k]), "line": line(codes[k]), "check": check}
+            break
+    else:
+        first = {"line": line(np.setdiff1d(passant, codes)[0]), "check": "passant_not_reached"}
+    return {**block, "first_discrepancy": first}

@@ -148,8 +148,10 @@ class FieldTower:
     def _build_tables(self) -> None:
         n1 = self.size - 1
         g = self._find_generator()
+        # log[0] is the sentinel 2 n1: a log sum or difference involving it
+        # indexes the zero padding of exp, so mul and div need no zero test.
         exp = [0] * n1
-        log = [0] * self.size  # log[0] is a masked-out sentinel
+        log = [2 * n1] * self.size
         v = 1
         for i in range(n1):
             exp[i] = v
@@ -158,10 +160,11 @@ class FieldTower:
         if v != 1:
             raise RuntimeError("generator order mismatch")  # unreachable
         self.generator = g
+        exp = exp + exp + [0] * (2 * n1 + 1)  # doubled: no % needed for sums
         self._exp = exp
         self._log = log
-        self._exp_np = np.array(exp + exp, dtype=np.int64)  # doubled: no % needed for sums
-        self._log_np = np.array(log, dtype=np.int64)
+        self._exp_np = np.array(exp, dtype=np.int64)
+        self._log_np = np.array(log, dtype=np.int32)
         sqr = np.arange(self.size, dtype=np.int64)
         self._sqr_np = self.mul_arr(sqr, sqr)
         self._sqr = self._sqr_np.tolist()
@@ -196,9 +199,7 @@ class FieldTower:
     def mul(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def sqr(self, a: int) -> int:
         return self._sqr[self.check(a)]
@@ -208,16 +209,14 @@ class FieldTower:
         self.check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self._exp[(self.size - 1 - self._log[a]) % (self.size - 1)]
+        return self._exp[self.size - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)
         if b == 0:
             raise ZeroDivisionError("division by 0")
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] - self._log[b]) % (self.size - 1)]
+        return self._exp[self._log[a] - self._log[b] + self.size - 1]
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^(2^k); k is reduced mod 4h.  frobenius(a, h) is a -> a^q."""
@@ -269,8 +268,7 @@ class FieldTower:
     def mul_arr(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        out = self._exp_np[self._log_np[a] + self._log_np[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._exp_np[self._log_np[a] + self._log_np[b]]
 
     def inv_arr(self, a):
         a = np.asarray(a, dtype=np.int64)
@@ -283,8 +281,7 @@ class FieldTower:
         b = np.asarray(b, dtype=np.int64)
         if np.any(b == 0):
             raise ZeroDivisionError("division by 0 in bulk operand")
-        out = self._exp_np[self._log_np[a] - self._log_np[b] + (self.size - 1)]
-        return np.where(a == 0, 0, out)
+        return self._exp_np[self._log_np[a] - self._log_np[b] + (self.size - 1)]
 
     def frob_arr(self, a, k: int = 1):
         a = np.asarray(a, dtype=np.int64)

@@ -29,7 +29,6 @@ explicit GF(q) coordinates obtained by splitting GF(q^2) over the basis
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -179,15 +178,6 @@ def lookup(sorted_codes, codes):
     """(position, found): where each code sits in the sorted array, and whether it is there."""
     pos = np.searchsorted(sorted_codes, codes).clip(max=sorted_codes.size - 1)
     return pos, sorted_codes[pos] == codes
-
-
-def projective_points(ctx, width):
-    """All canonical points of PG(width-1, q^2), lead-1 enumeration order."""
-    F = ctx.subfield(2 * ctx.h)
-    for lead in range(width):
-        head = (0,) * lead + (1,)
-        for tail in itertools.product(F, repeat=width - 1 - lead):
-            yield head + tail
 
 
 # ---------------------------------------------------------------------------

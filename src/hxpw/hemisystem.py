@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .conic import pair_chunks, pair_reps
+from .conic import first_pair, pair_chunks, pair_reps
 
 INF = "inf"  # projective-line point at infinity
 
@@ -304,10 +304,11 @@ def klein_class_scalar(ctx, s, t):
 
 
 def klein_classify_pairs(ctx, A, si, ti):
-    """(Klein class, factorization_ok, shift_ok) of the pairs (si[k], ti[k]).
+    """(Klein class, factorization_failure, shift_failure) of the pairs
+    (si[k], ti[k]).
 
-    The flags say whether the radical identity and the shift
-    bt(w_s, w'_t) = bt(w_s, w_t) + tr_s tr_t held on every pair.
+    The failures are the first pair of indices where the radical identity,
+    or the shift bt(w_s, w'_t) = bt(w_s, w_t) + tr_s tr_t, fails, or None.
     StructureError where both pairings vanish.
     """
     b1, b2 = _bt_arrays(ctx, A, si, ti)
@@ -320,7 +321,7 @@ def klein_classify_pairs(ctx, A, si, ti):
 
     m = ctx.mul_arr
     trs, trt = A["tr"][si], A["tr"][ti]
-    shift_ok = bool(np.array_equal(b2, b1 ^ m(trs, trt)))
+    shift_failure = first_pair(si, ti, b2 != b1 ^ m(trs, trt))
     # radical vector of the plane <w_s, w0, w_t>: tr_t w_s + b1 w0 + tr_s w_t
     vx = m(trt, A["x"][si]) ^ m(trs, A["x"][ti])
     vxq = m(trt, A["xq"][si]) ^ m(trs, A["xq"][ti])
@@ -329,22 +330,23 @@ def klein_classify_pairs(ctx, A, si, ti):
     vz = m(trt, A["z"][si]) ^ m(trs, A["z"][ti])
     vzq = m(trt, A["zq"][si]) ^ m(trs, A["zq"][ti])
     qt_rad = m(vx, vzq) ^ m(vxq, vz) ^ m(vy, vyq)
-    factorization_ok = bool(np.array_equal(qt_rad, m(b1, b2)))
-    return cls, factorization_ok, shift_ok
+    return cls, first_pair(si, ti, qt_rad != m(b1, b2)), shift_failure
 
 
 def klein_table_bundle(ctx):
-    """Dict of the n x n Klein-route `table`, `factorization_ok`, `shift_ok`."""
+    """Dict of the n x n Klein-route `table`, `factorization_ok`, `shift_ok`
+    and the first pairs where they fail, `factorization_failure`, `shift_failure`."""
     A = klein_arrays(ctx)
     n = A["x"].shape[0]
     table = np.zeros((n, n), dtype=np.int8)
-    factorization_ok = shift_ok = True
+    fact_failure = shift_failure = None
     for si, ti in pair_chunks(n):
         cls, fact, shift = klein_classify_pairs(ctx, A, si, ti)
         table[si, ti] = table[ti, si] = cls
-        factorization_ok = factorization_ok and fact
-        shift_ok = shift_ok and shift
-    return {"table": table, "factorization_ok": factorization_ok, "shift_ok": shift_ok}
+        fact_failure, shift_failure = fact_failure or fact, shift_failure or shift
+    return {"table": table, "factorization_ok": fact_failure is None,
+            "shift_ok": shift_failure is None, "factorization_failure": fact_failure,
+            "shift_failure": shift_failure}
 
 
 # ---------------------------------------------------------------------------

@@ -61,31 +61,12 @@ def _frac_matmul(A, B):
             for i in range(n)]
 
 
-def _frac_inverse(A):
-    n = len(A)
-    M = [list(row) + ident for row, ident in zip(A, _frac_identity(n))]
-    for c in range(n):
-        pr = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if pr is None:
-            raise ValueError("singular matrix")
-        M[c], M[pr] = M[pr], M[c]
-        pv = M[c][c]
-        M[c] = [x / pv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return [row[n:] for row in M]
-
-
-def _frac_nullspace(A):
-    rows = [list(r) for r in A]
-    if not rows:
-        return []
-    width = len(rows[0])
+def _frac_rref(rows):
+    """Reduced row echelon form of a Fraction matrix: (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
     pivots = []
     r = 0
-    for c in range(width):
+    for c in range(len(rows[0]) if rows else 0):
         pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
@@ -100,6 +81,20 @@ def _frac_nullspace(A):
         r += 1
         if r == len(rows):
             break
+    return rows, pivots
+
+
+def _frac_inverse(A):
+    n = len(A)
+    rows, pivots = _frac_rref([list(row) + ident for row, ident in zip(A, _frac_identity(n))])
+    if pivots != list(range(n)):  # a pivot in the identity half: A is singular
+        raise ValueError("singular matrix")
+    return [row[n:] for row in rows]
+
+
+def _frac_nullspace(A):
+    rows, pivots = _frac_rref(A)
+    width = len(rows[0]) if rows else 0
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for fc in free:
@@ -364,24 +359,10 @@ class SchemeAnalytics:
     def _tridiagonal_orderings(d, entry):
         """Orderings sigma of 1..d making entry(sigma(k), sigma(1), sigma(j))
         tridiagonal with nonzero off-diagonals (indices 0 fixed)."""
-        found = []
-        for perm in permutations(range(1, d + 1)):
-            sigma = (0,) + perm
-            ok = True
-            for j in range(d + 1):
-                for k in range(d + 1):
-                    v = entry(sigma[k], sigma[1], sigma[j])
-                    if abs(j - k) > 1 and v != 0:
-                        ok = False
-                        break
-                    if abs(j - k) == 1 and v == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.append(list(perm))
-        return found
+        return [list(perm) for perm in permutations(range(1, d + 1))
+                if all((entry(s[k], s[1], s[j]) != 0) == (abs(j - k) == 1)
+                       for s in [(0, *perm)] for j in range(d + 1) for k in range(d + 1)
+                       if j != k)]
 
     def q_polynomial_orderings(self):
         q = self.krein()

@@ -3,13 +3,15 @@
 The first helpers are the scalar definitions the bulk code is tested
 against: the fine label of a pair, the symplectic form on pattern vectors,
 the rational points spanning m_t, the involution tau and the orbit of a
-pair under Moebius maps.  The rest
+pair under Moebius maps.  Then come the planar definitions behind the
+`passants` block: every point of a projective space, the conic, the line
+of a pair by row reduction and the passant census by enumeration.  The rest
 enumerate what the bulk `line_census` and `klein_images` count: every
 totally isotropic line through every isotropic point (as tuples,
 `hermitian_points`), and the GF(q)-spans and perps of the
 conjugate-pattern 6-space.  They are exhaustive only at h <= 2.  The last
-helpers cut line sets apart and inject a wrong Klein image into both routes
-at once.
+helpers cut line sets apart, inject a wrong Klein image into both routes
+at once and hand the `passants` block edited pair lines.
 """
 
 import itertools
@@ -67,6 +69,71 @@ def moebius_orbit(ctx, generators):
         frontier = list(images - seen)
         seen |= images
     return seen
+
+
+# ---------------------------------------------------------------------------
+# the plane PG(2, q^2) and the passants of the conic
+
+def projective_points(ctx, width):
+    """All canonical points of PG(width-1, q^2), lead-1 enumeration order."""
+    F = ctx.subfield(2 * ctx.h)
+    for lead in range(width):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(F, repeat=width - 1 - lead):
+            yield head + tail
+
+
+def conic_points(ctx):
+    """The fixed conic of PG(2, q^2): {(1, c, c^2)} u {(0, 0, 1)}."""
+    pts = [(1, c, ctx.sqr(c)) for c in ctx.subfield(2 * ctx.h)]
+    pts.append((0, 0, 1))
+    return pts
+
+
+def pair_line(ctx, t):
+    """The GF(q^2)-rational line joining (1,t,t^2) to its conjugate point, as
+    RREF rows.
+
+    The rational vectors in the extension span are c*(1,t,t^2) +
+    c^(q^2)*(conjugate); taking c in {1, omega} gives a basis.
+    """
+    cj = ctx.conj
+    a = (1, t, ctx.sqr(t))
+    b = tuple(cj(x) for x in a)
+    rows = []
+    for lam in (1, ctx.omega):
+        lam2 = cj(lam)
+        rows.append(tuple(ctx.mul(lam, x) ^ ctx.mul(lam2, y) for x, y in zip(a, b)))
+    red, _ = g.rref_rows(ctx, rows)
+    if len(red) != 2:
+        raise RuntimeError(f"conjugate point pair for t={t} did not span a line")
+    return tuple(red)
+
+
+def line_dual(ctx, line):
+    """The dual point (a, b, c) of the functional a x0 + b x1 + c x2 cutting out a line."""
+    kern = g.nullspace(ctx, list(line), 3)
+    if len(kern) != 1:
+        raise ValueError("expected a line of PG(2, q^2)")
+    return g.normalize_point(ctx, kern[0])
+
+
+def line_misses_conic(ctx, line):
+    """True when no conic point satisfies both line equations."""
+    f = line_dual(ctx, line)
+    on_line = lambda p: ctx.mul(f[0], p[0]) ^ ctx.mul(f[1], p[1]) ^ ctx.mul(f[2], p[2]) == 0
+    return not any(on_line(p) for p in conic_points(ctx))
+
+
+def passant_census(ctx):
+    """Count lines of PG(2, q^2) missing the conic (expected (q^4-q^2)/2)."""
+    count = 0
+    for dual in projective_points(ctx, 3):
+        kern = g.nullspace(ctx, [dual], 3)
+        line, _ = g.rref_rows(ctx, kern)
+        if line_misses_conic(ctx, tuple(line)):
+            count += 1
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -237,3 +304,15 @@ def perturb_klein_image(monkeypatch, ctx, k):
     monkeypatch.setattr(g, "klein_map", lambda ctx, ln: (
         g.normalize_point(ctx, image) if ln == line else real_map(ctx, ln)))
     return line, image
+
+
+def fault_pair_lines(monkeypatch, edit):
+    """Make `conic.pair_lines` return the lines `edit(a, b)` changes in place."""
+    real = conic.pair_lines
+
+    def lines(ctx):
+        a, b = (x.copy() for x in real(ctx))
+        edit(a, b)
+        return a, b
+
+    monkeypatch.setattr(conic, "pair_lines", lines)

@@ -12,7 +12,7 @@ from hxpw.cli import main
 from hxpw.conic import pair_reps
 from hxpw.fields import tower
 from hxpw.hemisystem import StructureError
-from hxpw.schemes import RelationTable
+from hxpw.schemes import RelationTable, frac_str
 
 import scalar_oracles as so
 
@@ -132,10 +132,10 @@ def test_header_fields(cert2):
 def test_golden_hashes(cert1, cert2, cert_h3_cli):
     # a change to the hashed content must come with a bump of `format`
     cert3 = cert_h3_cli["cert"]
-    assert cert1["format"] == cert2["format"] == cert3["format"] == "hxpw-certificate/6"
-    assert cert1["canonical_sha256"] == "a2db9c07b1dd9c6ce4bff3662a3d52596627cb66d76f969c5210f82d4ef7d6e6"
-    assert cert2["canonical_sha256"] == "27670a3103447bed5d7cd638d29d74dc912cba67e981b9ee176ada2904ffb845"
-    assert cert3["canonical_sha256"] == "4bc6e4ed17c247dde9d2b957b88265f2cce3787f187d13d3e8ab8f150b8e2e91"
+    assert cert1["format"] == cert2["format"] == cert3["format"] == "hxpw-certificate/7"
+    assert cert1["canonical_sha256"] == "225b2c84c960185e8bd7412dee363858c137dc2825e826579c72c1d9f8c07da6"
+    assert cert2["canonical_sha256"] == "fdb683023e1d70db9f3332b7493a4366b01a6bf23b84925054ffe392643c84d5"
+    assert cert3["canonical_sha256"] == "44481ea344f69f6e97d2e9d7f77fd936ce08c290d66eda71625b7e883cd1eff7"
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def test_rho_one_fails_without_traceback(monkeypatch, tmp_path, capsys):
 
 BLOCKS = {"routes", "identities", "class_counts", "hemisystem", "line_census",
           "tau_consistency", "klein_images", "scheme_hx", "eigenmatrix", "krein",
-          "srg", "fine", "orbit", "automorphisms"}
+          "srg", "fine", "orbit", "automorphisms", "passants"}
 
 
 def _assert_layout(cert):
@@ -246,8 +246,9 @@ def test_every_certificate_has_every_block(cert1, cert2, cert_h3_cli, monkeypatc
     assert main(["certify", "--h", "2", "--out", str(out)]) == 0
     sweep = json.loads(out.read_text())
     _assert_layout(sweep)
-    # the group is checked without tables too
+    # the group and the passants are checked without tables too
     assert sweep["blocks"]["orbit"] == cert2["blocks"]["orbit"]
+    assert sweep["blocks"]["passants"] == cert2["blocks"]["passants"]
     assert sweep["blocks"]["automorphisms"] == {
         **cert2["blocks"]["automorphisms"], "table_failures": "skipped"}
 
@@ -324,7 +325,7 @@ def _tangent_line(ctx, line):
     """(a line meeting the hermitian surface only in x, x) for an external point x of `line`."""
     wset = geometry.w_point_set(ctx)
     x = next(p for p in geometry.line_points(ctx, line) if p not in wset)
-    z = next(p for p in geometry.projective_points(ctx, 4)
+    z = next(p for p in so.projective_points(ctx, 4)
              if geometry.hermitian(ctx, x, p) == 0 and not geometry.is_isotropic(ctx, p))
     return geometry.line_through(ctx, x, z), x
 
@@ -389,7 +390,7 @@ def test_corrupted_row_zero_spread_is_caught_by_the_scalar_check(monkeypatch, tm
 
 def test_h3_runs_the_census_and_the_klein_images(cert_h3_cli):
     cert = cert_h3_cli["cert"]
-    assert cert["format"] == "hxpw-certificate/6" and "seed" not in cert["header"]
+    assert cert["format"] == "hxpw-certificate/7" and "seed" not in cert["header"]
     blocks = cert["blocks"]
     assert blocks["line_census"] == {
         "pass": True, "total_lines": 4617, "expected_total": 4617, "w_extended": 585,
@@ -593,9 +594,10 @@ def _merged_fine_labels(monkeypatch):
 
 
 def _false_identity_flag(monkeypatch):
+    """The pairing shift is reported failing at position 0 of every chunk."""
     real = hemisystem.klein_classify_pairs
     monkeypatch.setattr(hemisystem, "klein_classify_pairs", lambda ctx, A, si, ti: (
-        real(ctx, A, si, ti)[0], real(ctx, A, si, ti)[1], False))
+        *real(ctx, A, si, ti)[:2], [int(si[0]), int(ti[0])]))
 
 
 VALUE_FAULTS = {"tau_consistency": _swap_two_twins, "scheme_hx": _asymmetric_hx_entry,
@@ -623,6 +625,19 @@ def test_value_fault_fails_its_block(block, monkeypatch, tmp_path, capsys):
         for v in report["violations"]:
             assert (v["count"], v["expected"]) == (1, 2) and tuple(v["point"]) in line_0
         assert cert["witness"] == {"block": "hemisystem", "violation_count": 17}
+    if block == "eigenmatrix":
+        # by hand: computed row 2 is the family's row 1, which the fault moved
+        first = {"P_row": 2, "row": ["1/1", "-3/1", "-6/1", "8/1"],
+                 "check": "not_in_family_formula"}
+        assert cert["blocks"][block]["first_discrepancy"] == first
+        assert cert["witness"] == {"block": block, "first_discrepancy": first}
+        faulted = [[frac_str(x) for x in row] for row in schemes.expected_p_matrix(ctx.q)]
+        assert first["row"] not in faulted and faulted[1][1] == "-2/1"
+    if block == "identities":
+        first = {"identity": "pairing_shift", "pair_indices": [0, 1],
+                 "reps": list(pair_reps(ctx)[:2])}
+        assert cert["blocks"][block]["first_discrepancy"] == first
+        assert cert["witness"] == {"block": block, "first_discrepancy": first}
 
 
 def test_tau_table_fault_names_the_pair(monkeypatch, tmp_path, capsys):
@@ -644,3 +659,34 @@ def test_tau_table_fault_names_the_pair(monkeypatch, tmp_path, capsys):
     assert cert["blocks"]["tau_consistency"] == {
         "pass": False, "same_subtended_spreads": True, "first_discrepancy": first}
     assert cert["witness"] == {"block": "tau_consistency", "first_discrepancy": first}
+
+
+# ---------------------------------------------------------------------------
+# faults in the passants
+
+@pytest.mark.parametrize("check", ["not_a_passant", "shared_line"])
+def test_passant_fault_fails_the_block(check, monkeypatch, tmp_path, capsys):
+    """Pair 0's line is made to hold the conic point (1, 1, 1), or pair 1 is
+    given pair 0's line."""
+    ctx = tower(2)
+    (a0, *_), (b0, *_) = conic.pair_lines(ctx)
+    if check == "not_a_passant":  # (a, b, 1) holds (1, 1, 1) when a = 1 + b
+        edit, k, line = (lambda a, b: a.__setitem__(0, 1 ^ b[0])), 0, [1 ^ int(b0), int(b0), 1]
+    else:
+        edit, k, line = (lambda a, b: (a.__setitem__(1, a0), b.__setitem__(1, b0))), 1, [
+            int(a0), int(b0), 1]
+    so.fault_pair_lines(monkeypatch, edit)
+    cert = _certify_h2_fails(tmp_path, capsys)
+    first = {"index": k, "rep": pair_reps(ctx)[k], "line": line, "check": check}
+    assert cert["blocks"]["passants"] == {
+        "pass": False, "lines": 120 - k, "passants": 120, "joins_conjugate_points": False,
+        "first_discrepancy": first}
+    assert cert["witness"] == {"block": "passants", "first_discrepancy": first}
+    assert [name for name, b in cert["blocks"].items() if b.get("pass") is False] == ["passants"]
+    # by hand: the named line holds (1, 1, 1), or is the line of pair 0
+    if check == "not_a_passant":
+        assert so.line_misses_conic(ctx, so.pair_line(ctx, pair_reps(ctx)[0]))
+        assert ctx.mul(line[0], 1) ^ ctx.mul(line[1], 1) ^ 1 == 0
+    else:
+        assert so.line_dual(ctx, so.pair_line(ctx, pair_reps(ctx)[0])) == \
+            geometry.normalize_point(ctx, tuple(line))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from hxpw import conic, geometry
-from hxpw.conic import (ClassificationError, classify, pair_line, pair_reps, rho, rho_hat,
-                        trace_sets)
+from hxpw.conic import ClassificationError, classify, pair_reps, rho, rho_hat, trace_sets
 from hxpw.fields import tower
 
+import scalar_oracles as so
 from scalar_oracles import fine_label
 
 
@@ -174,24 +174,63 @@ def test_fine_refines_coarse(hx_bundle_2):
 
 
 def test_pair_lines_are_passants():
+    """The block passes at every h, and its lines are those of the scalar oracle."""
+    for h in (1, 2, 3, 4):
+        ctx = tower(h)
+        n = (ctx.q4 - ctx.q2) // 2
+        assert conic.passants(ctx) == {"pass": True, "lines": n, "passants": n,
+                                       "joins_conjugate_points": True}
     for h in (1, 2):
         ctx = tower(h)
-        for t in pair_reps(ctx):
-            assert conic.line_misses_conic(ctx, pair_line(ctx, t))
+        a, b = conic.pair_lines(ctx)
+        for t, at, bt in zip(pair_reps(ctx), a.tolist(), b.tolist()):
+            line = so.pair_line(ctx, t)
+            assert so.line_misses_conic(ctx, line)
+            assert so.line_dual(ctx, line) == geometry.normalize_point(ctx, (at, bt, 1))
 
 
 def test_pair_line_injective_h2():
     ctx = tower(2)
-    lines = {pair_line(ctx, t) for t in pair_reps(ctx)}
-    assert len(lines) == 120
+    lines = {so.pair_line(ctx, t) for t in pair_reps(ctx)}
+    assert len(lines) == 120 == conic.passants(ctx)["lines"]
 
 
 def test_passant_census_h1():
     ctx = tower(1)
     # oracle: every line of the plane, counted through its dual point
-    total = sum(1 for _ in geometry.projective_points(ctx, 3))
+    total = sum(1 for _ in so.projective_points(ctx, 3))
     assert total == 21  # q^4 + q^2 + 1 at q = 2
-    assert conic.passant_census(ctx) == 6 == (ctx.q4 - ctx.q2) // 2
+    assert so.passant_census(ctx) == 6 == conic.passants(ctx)["passants"]
+
+
+def test_passant_census_h2():
+    ctx = tower(2)
+    assert so.passant_census(ctx) == 120 == conic.passants(ctx)["passants"]
+
+
+def test_unreached_passant_and_a_line_off_its_pair(monkeypatch):
+    """Lines that are all distinct passants but miss their reps, and a census
+    that exceeds the pairs, are named by the checks after the set checks
+    (the set checks themselves fail through the CLI in test_certify)."""
+    ctx = tower(2)
+    reps = pair_reps(ctx)
+    a, b = conic.pair_lines(ctx)
+    # pairs 0 and 1 exchange their lines: still the passants, but off their reps
+    so.fault_pair_lines(monkeypatch, lambda a, b: (a.__setitem__([0, 1], a[[1, 0]]),
+                                                   b.__setitem__([0, 1], b[[1, 0]])))
+    block = conic.passants(ctx)
+    assert block["lines"] == block["passants"] == 120 and not block["joins_conjugate_points"]
+    assert block["first_discrepancy"] == {"index": 0, "rep": reps[0],
+                                          "line": [int(a[1]), int(b[1]), 1],
+                                          "check": "joins_conjugate_points"}
+    # pair 0 dropped: its line is the passant no pair reaches
+    monkeypatch.setattr(conic, "pair_reps", lambda ctx: reps[1:])
+    monkeypatch.setattr(conic, "pair_lines", lambda ctx: (a[1:], b[1:]))
+    block = conic.passants(ctx)
+    assert block["first_discrepancy"] == {"line": [int(a[0]), int(b[0]), 1],
+                                          "check": "passant_not_reached"}
+    assert so.line_dual(ctx, so.pair_line(ctx, reps[0])) == geometry.normalize_point(
+        ctx, tuple(block["first_discrepancy"]["line"]))
 
 
 def test_valency_identity_against_family_formula():

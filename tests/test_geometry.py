@@ -40,7 +40,7 @@ def _random_line(ctx, rng):
 
 def _all_lines(ctx):
     """Every line of PG(3, q^2), by point-pair spans (small q only)."""
-    pts = list(g.projective_points(ctx, 4))
+    pts = list(so.projective_points(ctx, 4))
     seen = set()
     for i, p in enumerate(pts):
         for s in pts[i + 1:]:
@@ -81,7 +81,7 @@ def test_isotropic_point_counts():
 
 def test_isotropic_enumeration_matches_bruteforce_h1():
     ctx = tower(1)
-    brute = {p for p in g.projective_points(ctx, 4) if g.is_isotropic(ctx, p)}
+    brute = {p for p in so.projective_points(ctx, 4) if g.is_isotropic(ctx, p)}
     assert brute == set(so.hermitian_points(ctx))
 
 
@@ -89,7 +89,7 @@ def test_hermitian_codes_match_bruteforce_h2():
     ctx = tower(2)
     codes = g.hermitian_codes(ctx)
     assert np.all(codes[1:] > codes[:-1])
-    brute = [p for p in g.projective_points(ctx, 4) if g.is_isotropic(ctx, p)]
+    brute = [p for p in so.projective_points(ctx, 4) if g.is_isotropic(ctx, p)]
     assert np.array_equal(codes, np.sort(g.point_codes(ctx, np.array(brute))))
 
 
@@ -135,7 +135,7 @@ def test_w_point_set_count_and_isotropy():
 def test_is_w_point_matches_membership_exhaustively_h1():
     ctx = tower(1)
     wset = g.w_point_set(ctx)
-    for p in g.projective_points(ctx, 4):
+    for p in so.projective_points(ctx, 4):
         assert g.is_w_point(ctx, p) == (p in wset), p
 
 
@@ -162,7 +162,7 @@ def test_h_lines_through_counts():
 
 def test_h_lines_through_rejects_anisotropic():
     ctx = tower(1)
-    bad = next(p for p in g.projective_points(ctx, 4) if not g.is_isotropic(ctx, p))
+    bad = next(p for p in so.projective_points(ctx, 4) if not g.is_isotropic(ctx, p))
     with pytest.raises(ValueError):
         g.h_lines_through(ctx, bad)
 
