@@ -53,7 +53,7 @@ from . import conic, geometry, hemisystem, schemes
 from .conic import ClassificationError, pair_reps
 from .fields import tower
 from .hemisystem import StructureError
-from .schemes import RelationTable, SchemeAxiomError, frac_str
+from .schemes import RelationTable, SchemeAxiomError, frac_matrix
 
 VERSION = "0.1.0"
 # Largest h whose n x n tables are built; above it only the table-free blocks run.
@@ -71,10 +71,6 @@ def canonical_json(cert: dict) -> str:
 
 def canonical_hash(cert: dict) -> str:
     return hashlib.sha256(canonical_json(cert).encode()).hexdigest()
-
-
-def _frac_matrix(M):
-    return [[frac_str(x) for x in row] for row in M]
 
 
 def certify(h: int) -> dict:
@@ -312,7 +308,7 @@ def _analytics_blocks(q, an):
     res = an.srg_parameters([1, 2])
     srg_ok = (res.get("pass") and not res.get("degenerate")
               and all(res[k] == srg_expected[k] for k in srg_expected))
-    eigen = {"pass": match, "P": _frac_matrix(P), "Q": _frac_matrix(Q),
+    eigen = {"pass": match, "P": frac_matrix(P), "Q": frac_matrix(Q),
              "multiplicities": mult, "matches_family_formula": match}
     if not match:
         # P is invertible, so its rows are distinct and one lies outside the formula's
@@ -323,8 +319,7 @@ def _analytics_blocks(q, an):
         "eigenmatrix": eigen,
         "krein": {
             "pass": bool(qpoly) and not ppoly and prim["pass"],
-            "parameters": [[[frac_str(kr[k][i][j]) for j in range(4)]
-                            for i in range(4)] for k in range(4)],
+            "parameters": [frac_matrix(layer) for layer in kr],
             "nonnegative": True,  # krein() raises otherwise
             "q_polynomial_orderings": qpoly,
             "p_polynomial_orderings": ppoly,

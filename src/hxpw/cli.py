@@ -131,31 +131,26 @@ def cmd_export(args) -> int:
     an = schemes.verify_scheme(schemes.RelationTable(table, d=header["class_count"]))
     P, Q, mult = an.eigenmatrix()
     kr = an.krein()
-    d1 = an.d + 1
-    fs = schemes.frac_str
+    fm = schemes.frac_matrix
     if args.format == "json":
         doc = {"header": {k: v for k, v in header.items() if k != "point_reps"},
-               "P": [[fs(x) for x in row] for row in P],
-               "Q": [[fs(x) for x in row] for row in Q],
-               "multiplicities": mult,
-               "krein": [[[fs(kr[k][i][j]) for j in range(d1)]
-                          for i in range(d1)] for k in range(d1)],
-               "p_numbers": an.p}
+               "P": fm(P), "Q": fm(Q), "multiplicities": mult,
+               "krein": [fm(layer) for layer in kr], "p_numbers": an.p}
         _write_out(args.out, (json.dumps(doc, sort_keys=True) + "\n").encode())
         return 0
     lines = [f"# {k}={v}" for k, v in header.items() if k != "point_reps"]
     lines.append("P")
-    lines += [",".join(fs(x) for x in row) for row in P]
+    lines += [",".join(row) for row in fm(P)]
     lines.append("Q")
-    lines += [",".join(fs(x) for x in row) for row in Q]
+    lines += [",".join(row) for row in fm(Q)]
     lines.append("multiplicities")
     lines.append(",".join(str(m) for m in mult))
-    for k in range(d1):
+    for k, layer in enumerate(kr):
         lines.append(f"krein k={k}")
-        lines += [",".join(fs(kr[k][i][j]) for j in range(d1)) for i in range(d1)]
-    for k in range(d1):
+        lines += [",".join(row) for row in fm(layer)]
+    for k, layer in enumerate(an.p):
         lines.append(f"p-numbers k={k}")
-        lines += [",".join(f"{an.p[k][i][j]}/1" for j in range(d1)) for i in range(d1)]
+        lines += [",".join(f"{x}/1" for x in row) for row in layer]
     _write_out(args.out, ("\n".join(lines) + "\n").encode())
     return 0
 

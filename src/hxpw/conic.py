@@ -122,9 +122,12 @@ def classify(ctx, s, t) -> int:
 # ---------------------------------------------------------------------------
 # bulk table construction
 
-def _pair_arrays(ctx, reps=None):
-    reps = np.array(pair_reps(ctx) if reps is None else reps, dtype=np.int64)
+@lru_cache(maxsize=None)
+def pair_arrays(ctx):
+    """Read-only int64 arrays (reps, conj): the pair representatives t and t^(q^2)."""
+    reps = np.asarray(pair_reps(ctx), dtype=np.int64)
     conj = ctx.frob_arr(reps, 2 * ctx.h)
+    reps.flags.writeable = conj.flags.writeable = False
     return reps, conj
 
 
@@ -142,7 +145,7 @@ def pair_chunks(n):
 
 def rho_of_pairs(ctx, si, ti):
     """Vectorized rho over index arrays into the representative list."""
-    reps, conj = _pair_arrays(ctx)
+    reps, conj = pair_arrays(ctx)
     s, s2, t, t2 = reps[si], conj[si], reps[ti], conj[ti]
     num = ctx.mul_arr(s ^ t, s2 ^ t2)
     den = ctx.mul_arr(s ^ t2, s2 ^ t)
@@ -216,7 +219,7 @@ def table_bundle(ctx):
 def pair_lines(ctx):
     """Per rep t, the line a x0 + b x1 + x2 = 0 of PG(2, q^2) through
     (1, t, t^2) and its conjugate: a = t t^(q^2) and b = t + t^(q^2)."""
-    t, conj = _pair_arrays(ctx)
+    t, conj = pair_arrays(ctx)
     return ctx.mul_arr(t, conj), t ^ conj
 
 
@@ -232,7 +235,7 @@ def passants(ctx):
     passant, repeats an earlier line or misses the rep, or else the first
     passant no pair reaches.
     """
-    t = np.array(pair_reps(ctx), dtype=np.int64)
+    t = pair_arrays(ctx)[0]
     a, b = pair_lines(ctx)
     # with a, b in GF(q^2), as the set equality shows, t^(q^2) is on the line with t
     off = (a ^ ctx.mul_arr(b, t) ^ ctx.mul_arr(t, t)) != 0

@@ -193,9 +193,6 @@ class FieldTower:
             raise ValueError(f"{a!r} is not an element of {self!r}")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return self.check(a) ^ self.check(b)
-
     def mul(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .conic import first_pair, pair_chunks, pair_reps
+from .conic import first_pair, pair_arrays, pair_chunks, pair_reps
 
 INF = "inf"  # projective-line point at infinity
 
@@ -87,7 +87,7 @@ def _rational_rows(ctx):
     """(n, 4) arrays theta(t) + theta(t)^(q^2) and omega theta(t) +
     omega^(q^2) theta(t)^(q^2) over the pair representatives t: two points
     spanning m_t."""
-    t = np.array(pair_reps(ctx), dtype=np.int64)
+    t = pair_arrays(ctx)[0]
     theta = _theta_arr(ctx, np.stack([np.ones_like(t), t], axis=1))
     conj = ctx.frob_arr(theta, 2 * ctx.h)
     om = ctx.omega
@@ -266,7 +266,7 @@ def _shared_points(codes):
 def klein_arrays(ctx):
     """Per-representative coordinate arrays of the Klein vectors."""
     h = ctx.h
-    t = np.array(pair_reps(ctx), dtype=np.int64)
+    t = pair_arrays(ctx)[0]
     tq = ctx.frob_arr(t, h)
     tq3 = ctx.frob_arr(t, 3 * h)
     x = tq ^ tq3
@@ -466,7 +466,7 @@ def verify_automorphisms(ctx, table=None):
     table is invariant.  A failing block names the first failing generator
     and point or index, or (`transitive`) an index outside the orbit.
     """
-    reps = np.array(pair_reps(ctx), dtype=np.int64)
+    reps = pair_arrays(ctx)[0]
     n, h = reps.size, ctx.h
     X = np.stack([np.append(np.ones(ctx.size, dtype=np.int64), 0),
                   np.append(np.arange(ctx.size), 1)], axis=1)  # PG(1, q^4), inf last

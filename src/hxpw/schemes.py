@@ -18,10 +18,12 @@ Everything downstream of the counts is exact rational arithmetic on
 
 * the first eigenmatrix P has the valencies as row 0 and column 0 all
   ones; its rows are the common left eigenvectors of the intersection
-  matrices, found by factoring the characteristic polynomial of B_1 over
-  the integers (these schemes have integral character tables; a
-  non-integer eigenvalue aborts certification) and splitting repeated
-  eigenspaces with B_2, B_3, ...;
+  matrices B_1, B_2, ..., which split the space in turn into their exact
+  eigenspaces.  Floats only propose the eigenvalues, as the integers
+  nearest np.linalg.eigvals; each proposal is confirmed or rejected by an
+  exact nullspace, and eigenspaces that do not fill a space abort
+  certification (these schemes have integral character tables, so a
+  non-integer eigenvalue is a failure, never an approximation);
 * the second eigenmatrix is Q = n P^(-1), multiplicities are row 0 of Q;
 * Krein parameters solve Q[l][i] Q[l][j] = sum_k q^k_ij Q[l][k], i.e.
   q^._ij = (1/n) P (Q[:,i] o Q[:,j]); they must be nonnegative;
@@ -53,12 +55,6 @@ class SchemeAxiomError(Exception):
 
 def _frac_identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def _frac_matmul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(m)]
-            for i in range(n)]
 
 
 def _frac_rref(rows):
@@ -106,49 +102,27 @@ def _frac_nullspace(A):
     return basis
 
 
-def _charpoly(A):
-    """Monic characteristic polynomial (Faddeev-LeVerrier), low degree first."""
-    n = len(A)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    N = _frac_identity(n)
-    for k in range(1, n + 1):
-        M = _frac_matmul(A, N)
-        c = -sum(M[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        N = [[M[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
+def _eigenspaces(B, lams, basis):
+    """The nonzero spaces {v in span(basis) : v B = lam v}, for lam in `lams`.
 
-
-def _int_roots(coeffs, bound):
-    """Integer roots with multiplicity of a monic integer polynomial.
-
-    Every root divides the constant term, and the caller knows that no root
-    exceeds `bound` in absolute value, so only divisors up to it are tried.
+    The rows `basis` span a space that B maps into itself, so its
+    eigenvalues are among B's.  `lams` only proposes integers: a wrong one
+    has an empty exact nullspace, and unless the spaces found fill the span
+    some eigenvalue was not proposed, which raises SchemeAxiomError.
     """
-    coeffs = list(coeffs)
-    if any(c.denominator != 1 for c in coeffs):
-        raise SchemeAxiomError("characteristic polynomial is not integral")
-    roots = []
-    while len(coeffs) > 1:
-        ev = lambda x: sum(c * x ** k for k, c in enumerate(coeffs))
-        c0 = int(coeffs[0])
-        if c0 == 0:
-            root = 0
-        else:
-            cands = [d for d in range(1, min(abs(c0), bound) + 1) if c0 % d == 0]
-            root = next((r for d in cands for r in (d, -d) if ev(r) == 0), None)
-            if root is None:
-                raise SchemeAxiomError(
-                    "non-integer eigenvalue of an intersection matrix")
-        roots.append(root)
-        # synthetic division by (x - root)
-        out = []
-        acc = Fraction(0)
-        for c in reversed(coeffs[1:]):
-            acc = c + root * acc
-            out.append(acc)
-        coeffs = list(reversed(out))
-    return roots
+    m = len(B)
+    images = [[sum(v[k] * B[k][j] for k in range(m)) for j in range(m)] for v in basis]
+    spaces = []
+    for lam in sorted(set(lams)):
+        # the coefficients c with sum_b c_b (basis_b B - lam basis_b) = 0
+        coeffs = _frac_nullspace([[w[j] - lam * v[j] for w, v in zip(images, basis)]
+                                  for j in range(m)])
+        if coeffs:
+            spaces.append([[sum(c * v[j] for c, v in zip(cs, basis)) for j in range(m)]
+                           for cs in coeffs])
+    if sum(map(len, spaces)) != len(basis):
+        raise SchemeAxiomError("non-integer eigenvalue of an intersection matrix")
+    return spaces
 
 
 # ---------------------------------------------------------------------------
@@ -259,53 +233,24 @@ class SchemeAnalytics:
                 for k in range(self.d + 1)]
 
     def _common_left_eigenvectors(self):
+        """One row v per common eigenspace, with v B_i = lam v for every i.
+
+        B_1, ..., B_d in turn split every space found so far into its exact
+        eigenspaces; the B_i commute, so each space is B_i-invariant.  The
+        candidate eigenvalues are the integers nearest the float ones.
+        """
         d1 = self.d + 1
-        Bts = [[[self.intersection_matrix(i)[k][j] for k in range(d1)]
-                for j in range(d1)] for i in range(1, d1)]  # transposed B_i
-        # B_i is nonnegative with row sums k_i, so its eigenvalues lie in [-k_i, k_i]
-        roots = _int_roots(_charpoly(Bts[0]), self.valencies[1])
-        spaces = []
-        for lam in sorted(set(roots)):
-            M = [[Bts[0][r][c] - (lam if r == c else 0) for c in range(d1)]
-                 for r in range(d1)]
-            spaces.append(_frac_nullspace(M))
-        vectors = []
-        queue = [(basis, 1) for basis in spaces]
-        while queue:
-            basis, depth = queue.pop()
-            if len(basis) == 1:
-                vectors.append(basis[0])
-                continue
-            if depth >= len(Bts):
-                raise SchemeAxiomError("eigenspace split exhausted the algebra")
-            # restrict the next intersection matrix to the span of `basis`
-            Mn = Bts[depth]
-            imgs = [[sum(Mn[r][c] * v[c] for c in range(d1)) for r in range(d1)]
-                    for v in basis]
-            # coordinates of each image in the basis (solve basis^T a = img)
-            BT = [[basis[b][r] for b in range(len(basis))] for r in range(d1)]
-            sq = _frac_matmul([[BT[r][c] for r in range(d1)] for c in range(len(basis))], BT)
-            sqinv = _frac_inverse(sq)
-            R = []
-            for img in imgs:
-                rhs = [sum(BT[r][c] * img[r] for r in range(d1))
-                       for c in range(len(basis))]
-                R.append([sum(sqinv[a][b] * rhs[b] for b in range(len(basis)))
-                          for a in range(len(basis))])
-            Rt = [[R[j][i] for j in range(len(basis))] for i in range(len(basis))]
-            for lam in sorted(set(_int_roots(_charpoly(Rt), self.valencies[depth + 1]))):
-                M = [[Rt[r][c] - (lam if r == c else 0) for c in range(len(basis))]
-                     for r in range(len(basis))]
-                subbasis = [
-                    [sum(coeffs[b] * basis[b][r] for b in range(len(basis)))
-                     for r in range(d1)]
-                    for coeffs in _frac_nullspace(M)]
-                if subbasis:
-                    queue.append((subbasis, depth + 1))
-        if len(vectors) != d1:
+        spaces = [_frac_identity(d1)]
+        for i in range(1, d1):
+            B = self.intersection_matrix(i)
+            lams = [round(x.real) for x in np.linalg.eigvals(np.array(B, dtype=float))]
+            spaces = [part for basis in spaces
+                      for part in ([basis] if len(basis) == 1 else _eigenspaces(B, lams, basis))]
+        if len(spaces) != d1:
             raise SchemeAxiomError(
-                f"found {len(vectors)} common eigenvectors, expected {d1}")
-        return vectors
+                f"eigenspace split exhausted the algebra: found {len(spaces)} "
+                f"common eigenvectors, expected {d1}")
+        return [basis[0] for basis in spaces]
 
     def eigenmatrix(self):
         """(P, Q, multiplicities): row 0 of P is the valency row."""
@@ -499,3 +444,8 @@ def expected_p_matrix(q: int):
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def frac_matrix(M):
+    """A Fraction matrix as rows of `frac_str` strings."""
+    return [[frac_str(x) for x in row] for row in M]

@@ -224,7 +224,8 @@ def test_unreached_passant_and_a_line_off_its_pair(monkeypatch):
                                           "line": [int(a[1]), int(b[1]), 1],
                                           "check": "joins_conjugate_points"}
     # pair 0 dropped: its line is the passant no pair reaches
-    monkeypatch.setattr(conic, "pair_reps", lambda ctx: reps[1:])
+    t, conj = conic.pair_arrays(ctx)
+    monkeypatch.setattr(conic, "pair_arrays", lambda ctx: (t[1:], conj[1:]))
     monkeypatch.setattr(conic, "pair_lines", lambda ctx: (a[1:], b[1:]))
     block = conic.passants(ctx)
     assert block["first_discrepancy"] == {"line": [int(a[0]), int(b[0]), 1],

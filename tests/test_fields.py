@@ -167,7 +167,7 @@ def test_inv_zero_and_range_errors():
     with pytest.raises(ValueError):
         ctx.mul(1, ctx.size)  # element of a wider tower: not ours
     with pytest.raises(ValueError):
-        ctx.add(-1, 3)
+        ctx.check(-1)
 
 
 def test_pow_matches_repeated_mul():

@@ -7,8 +7,8 @@ import pytest
 
 from hxpw import schemes
 from hxpw.fields import tower
-from hxpw.schemes import (RelationTable, SchemeAxiomError, expected_p_matrix, fuse,
-                          srg_check, verify_scheme)
+from hxpw.schemes import (RelationTable, SchemeAnalytics, SchemeAxiomError, expected_p_matrix,
+                          fuse, srg_check, verify_scheme)
 
 
 @pytest.fixture(scope="module")
@@ -168,10 +168,9 @@ def test_pq_product_and_orthogonality(analytics_2, analytics_3):
         P, Q, mult = an.eigenmatrix()
         n = an.n
         d1 = an.d + 1
-        PQ = schemes._frac_matmul(P, Q)
         for i in range(d1):
             for j in range(d1):
-                assert PQ[i][j] == (n if i == j else 0)
+                assert sum(P[i][l] * Q[l][j] for l in range(d1)) == (n if i == j else 0)
         k = an.valencies
         for i in range(d1):
             for j in range(d1):
@@ -219,28 +218,56 @@ def test_krein_identities(analytics_2):
                 assert mult[k] * q[k][i][j] == mult[i] * q[i][k][j]
 
 
-def test_charpoly_helper_known_matrix():
-    M = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
-    coeffs = schemes._charpoly(M)
-    # x^2 - 4x + 3 = (x - 1)(x - 3)
-    assert coeffs == [Fraction(3), Fraction(-4), Fraction(1)]
-    assert sorted(schemes._int_roots(coeffs, 3)) == [1, 3]
+def _fracs(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def test_eigenspaces_known_matrix():
+    # [[2, 1], [1, 2]] has left eigenvectors (-1, 1) for 1 and (1, 1) for 3
+    B = _fracs([[2, 1], [1, 2]])
+    spaces = schemes._eigenspaces(B, [3, 1], schemes._frac_identity(2))
+    assert spaces == [[[-1, 1]], [[1, 1]]]
+    # within a span only its own eigenvalue is found; a wrong proposal finds nothing
+    assert schemes._eigenspaces(B, [1, 2, 3], _fracs([[1, 1]])) == [[[1, 1]]]
 
 
 def test_non_integer_eigenvalue_aborts():
-    coeffs = schemes._charpoly([[Fraction(0), Fraction(2)],
-                                [Fraction(1), Fraction(0)]])  # x^2 - 2
-    with pytest.raises(SchemeAxiomError):
-        schemes._int_roots(coeffs, 2)
-
-
-def test_root_search_bounded_by_spectral_radius():
-    # (x - 2)(x^2 - 10^12 - 1): the constant term is about 2 * 10^12, so
-    # trying every divisor up to it would not finish
-    m = 10 ** 12 + 1
-    coeffs = [Fraction(2 * m), Fraction(-m), Fraction(-2), Fraction(1)]
+    B = _fracs([[0, 2], [1, 0]])  # x^2 - 2
+    lams = [round(x.real) for x in np.linalg.eigvals(np.array(B, dtype=float))]
     with pytest.raises(SchemeAxiomError, match="non-integer eigenvalue"):
-        schemes._int_roots(coeffs, bound=10)
+        schemes._eigenspaces(B, lams, schemes._frac_identity(2))
+    # integer eigenvalues 1 and 3, but 3 is not proposed
+    with pytest.raises(SchemeAxiomError, match="non-integer eigenvalue"):
+        schemes._eigenspaces(_fracs([[2, 1], [1, 2]]), [1], schemes._frac_identity(2))
+
+
+def test_huge_irrational_eigenvalues_refused_promptly():
+    # eigenvalues 2 and +-sqrt(10^12 + 1): the proposals +-10^6 have empty
+    # exact nullspaces, whatever the size of the constant term
+    B = _fracs([[2, 0, 0], [0, 0, 10 ** 12 + 1], [0, 1, 0]])
+    lams = [round(x.real) for x in np.linalg.eigvals(np.array(B, dtype=float))]
+    assert sorted(lams) == [-10 ** 6, 2, 10 ** 6]
+    with pytest.raises(SchemeAxiomError, match="non-integer eigenvalue"):
+        schemes._eigenspaces(B, lams, schemes._frac_identity(3))
+
+
+def test_shifted_eigenvalue_proposal_refused(hx_bundle_2, monkeypatch):
+    # floats only propose: with every proposal off by one, no P comes out
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigvals(M) + 1)
+    an = verify_scheme(RelationTable(hx_bundle_2["table"], d=3))
+    with pytest.raises(SchemeAxiomError, match="non-integer eigenvalue"):
+        an.eigenmatrix()
+    assert an._eigen is None
+
+
+def test_unsplit_eigenspace_refused():
+    # p-numbers whose intersection matrices are all the identity: no B_i
+    # splits the space, so there is no basis of common eigenvectors
+    p = [[[int(j == k) for j in range(4)] for _ in range(4)] for k in range(4)]
+    an = SchemeAnalytics(RelationTable(np.zeros((4, 4), dtype=np.int8), d=3), p)
+    with pytest.raises(SchemeAxiomError, match="exhausted the algebra: found 1 common"):
+        an.eigenmatrix()
 
 
 def test_fine_scheme_eigen_data_not_integral(hx_bundle_2):
