@@ -27,6 +27,6 @@ print("cometric orderings:", an.q_polynomial_orderings())
 print("metric orderings:", an.p_polynomial_orderings(), "(none: not distance-regular)")
 print("primitive:", an.primitivity()["pass"])
 
-res = schemes.srg_check(an.table, {1, 2})
+res = an.srg_parameters([1, 2])
 print("\nfusing classes 1 and 2 gives a strongly regular graph:",
       (res["v"], res["k"], res["lambda"], res["mu"]))

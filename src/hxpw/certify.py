@@ -362,7 +362,8 @@ def _classified_chunks(ctx):
     """Row blocks classified by both routes, for _route_blocks; no table is built."""
     A = hemisystem.klein_arrays(ctx)
     for si, ti in conic.pair_chunks(len(pair_reps(ctx))):
-        cls_hx, _, closed = conic.classify_pairs(ctx, si, ti)
+        # the fine keys are dropped here, not held through the Klein sweep
+        cls_hx, closed = conic.classify_pairs(ctx, si, ti)[::2]
         cls_kl, fact, shift = hemisystem.klein_classify_pairs(ctx, A, si, ti)
         yield si, ti, cls_hx, cls_kl, closed, fact, shift
 
@@ -386,6 +387,7 @@ def _route_blocks(ctx, chunks):
         if first is None and not np.array_equal(a, b):
             k = int(np.argmax(a != b))
             first = _discrepancy(ctx, int(si[k]), int(ti[k]), int(a[k]), int(b[k]))
+        del si, ti, a, b  # not held while the next block is classified
     identities = {"pass": not any(failures), "pairs_swept": pairs,
                   **{f"{name}_ok": f is None for name, f in zip(IDENTITIES, failures)}}
     for name, pair in zip(IDENTITIES, failures):

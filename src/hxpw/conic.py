@@ -36,7 +36,12 @@ import numpy as np
 from .fields import FieldTower
 
 
-# Candidate pairs per pair_chunks block; bounds a sweep's working set.
+# Candidate pairs per pair_chunks block; bounds a sweep's working set, at most
+# six (classify_pairs) or eight (klein_classify_pairs) int64 arrays of a
+# block's length.  A smaller block would save memory and some time, but the
+# benchmark's export_q8 peak_rss_mb counts how many passes fit into its run,
+# so a faster pass reads as more memory; it stays at 1 << 20 until that
+# benchmark measures each command's own peak (ROADMAP item 1).
 PAIR_CHUNK = 1 << 20
 
 
@@ -144,11 +149,23 @@ def pair_chunks(n):
 
 
 def rho_of_pairs(ctx, si, ti):
-    """Vectorized rho over index arrays into the representative list."""
+    """Vectorized rho over index arrays into the representative list.
+
+    Holds at most six chunk-sized arrays at once: the four factors, each
+    xor-ed in place from the gathers, and the two logs inside `mul_arr`.
+    """
     reps, conj = pair_arrays(ctx)
-    s, s2, t, t2 = reps[si], conj[si], reps[ti], conj[ti]
-    num = ctx.mul_arr(s ^ t, s2 ^ t2)
-    den = ctx.mul_arr(s ^ t2, s2 ^ t)
+    s, t, t2 = reps[si], reps[ti], conj[ti]
+    num = s ^ t
+    s ^= t2  # s + t^(q^2)
+    s2 = conj[si]
+    t2 ^= s2  # s^(q^2) + t^(q^2)
+    s2 ^= t  # s^(q^2) + t
+    del t
+    num = ctx.mul_arr(num, t2)
+    del t2
+    den = ctx.mul_arr(s, s2)
+    del s, s2
     if np.any(num == 0) or np.any(den == 0):
         raise ClassificationError("vanishing cross-ratio factor on distinct pairs")
     return ctx.div_arr(num, den)
@@ -165,24 +182,32 @@ def classify_pairs(ctx, si, ti):
     pairs (si[k], ti[k]); closed_form_failure is the first pair of indices
     where rhat == nu^2 + nu fails, or None.
 
+    Holds at most six chunk-sized int64 arrays at once, inside
+    `rho_of_pairs`; rho is turned into rho + 1 in place once the key is taken.
     Raises ClassificationError on rho = 1 or on a rhat outside every class.
     """
     r = rho_of_pairs(ctx, si, ti)
-    rinv = ctx.inv_arr(r)
-    d = r ^ rinv
+    key = ctx.inv_arr(r)
+    d = r ^ key
     if np.any(d == 0):
         k = int(np.argmax(d == 0))
         raise ClassificationError(f"rho = 1 at pair indices ({int(si[k])}, {int(ti[k])})")
+    np.minimum(r, key, out=key)
     rhat = ctx.inv_arr(d)
-    nu_arr = ctx.inv_arr(r ^ 1)
-    closed_form_failure = first_pair(si, ti, ctx.mul_arr(nu_arr, nu_arr) ^ nu_arr != rhat)
+    del d
+    r ^= 1
+    nu_arr = ctx.inv_arr(r)
+    del r
+    closed = ctx.mul_arr(nu_arr, nu_arr)
+    closed ^= nu_arr
+    closed_form_failure = first_pair(si, ti, closed != rhat)
     cls = trace_sets(ctx)["cls"][rhat]
     if np.any(cls == 0):
         k = int(np.argmax(cls == 0))
         raise ClassificationError(
             f"rhat value {int(rhat[k])} outside every class at pair indices "
             f"({int(si[k])}, {int(ti[k])})")
-    return cls, np.minimum(r, rinv), closed_form_failure
+    return cls, key, closed_form_failure
 
 
 def table_bundle(ctx):

@@ -279,17 +279,28 @@ def klein_arrays(ctx):
 
 
 def _bt_arrays(ctx, A, si, ti):
-    """(bt(w_s, w_t), bt(w_s, w'_t)) over index arrays, vectorized."""
+    """(bt(w_s, w_t), bt(w_s, w'_t)) over index arrays, vectorized.
+
+    Holds at most seven chunk-sized arrays at once: each coordinate is
+    gathered where its product is taken, except the four y-gathers that two
+    products share, and the sums accumulate in place.
+    """
     m = ctx.mul_arr
-    xs, xqs = A["x"][si], A["xq"][si]
-    ys, yqs = A["y"][si], A["yq"][si]
-    zs, zqs = A["z"][si], A["zq"][si]
-    xt, xqt = A["x"][ti], A["xq"][ti]
-    yt, yqt = A["y"][ti], A["yq"][ti]
-    zt, zqt = A["z"][ti], A["zq"][ti]
-    outer = m(xs, zqt) ^ m(xqs, zt) ^ m(zs, xqt) ^ m(zqs, xt)
-    b1 = outer ^ m(ys, yqt) ^ m(yqs, yt)
-    b2 = outer ^ m(ys, yt) ^ m(yqs, yqt)
+    # the part the two pairings share, accumulated into b2
+    b2 = m(A["x"][si], A["zq"][ti])
+    b2 ^= m(A["xq"][si], A["z"][ti])
+    b2 ^= m(A["z"][si], A["xq"][ti])
+    b2 ^= m(A["zq"][si], A["x"][ti])
+    ys, yqt = A["y"][si], A["yq"][ti]
+    b1 = m(ys, yqt)
+    b1 ^= b2
+    yt = A["y"][ti]
+    b2 ^= m(ys, yt)
+    del ys
+    yqs = A["yq"][si]
+    b1 ^= m(yqs, yt)
+    del yt
+    b2 ^= m(yqs, yqt)
     return b1, b2
 
 
@@ -309,7 +320,9 @@ def klein_classify_pairs(ctx, A, si, ti):
 
     The failures are the first pair of indices where the radical identity,
     or the shift bt(w_s, w'_t) = bt(w_s, w_t) + tr_s tr_t, fails, or None.
-    StructureError where both pairings vanish.
+    StructureError where both pairings vanish.  Holds at most eight
+    chunk-sized arrays at once: `_bt_arrays` seven, and the radical check
+    forms qt(v) + bt(w_s, w_t) bt(w_s, w'_t) one product at a time.
     """
     b1, b2 = _bt_arrays(ctx, A, si, ti)
     both = (b1 == 0) & (b2 == 0)
@@ -317,20 +330,35 @@ def klein_classify_pairs(ctx, A, si, ti):
         k = int(np.argmax(both))
         raise StructureError(
             f"both pairings vanish at pair indices ({int(si[k])}, {int(ti[k])})")
-    cls = np.where(b1 == 0, 1, np.where(b2 == 0, 2, 3)).astype(np.int8)
+    cls = np.where(b1 == 0, np.int8(1), np.where(b2 == 0, np.int8(2), np.int8(3)))
 
     m = ctx.mul_arr
     trs, trt = A["tr"][si], A["tr"][ti]
-    shift_failure = first_pair(si, ti, b2 != b1 ^ m(trs, trt))
-    # radical vector of the plane <w_s, w0, w_t>: tr_t w_s + b1 w0 + tr_s w_t
-    vx = m(trt, A["x"][si]) ^ m(trs, A["x"][ti])
-    vxq = m(trt, A["xq"][si]) ^ m(trs, A["xq"][ti])
-    vy = m(trt, A["y"][si]) ^ b1 ^ m(trs, A["y"][ti])
-    vyq = m(trt, A["yq"][si]) ^ b1 ^ m(trs, A["yq"][ti])
-    vz = m(trt, A["z"][si]) ^ m(trs, A["z"][ti])
-    vzq = m(trt, A["zq"][si]) ^ m(trs, A["zq"][ti])
-    qt_rad = m(vx, vzq) ^ m(vxq, vz) ^ m(vy, vyq)
-    return cls, first_pair(si, ti, qt_rad != m(b1, b2)), shift_failure
+    shifted = m(trs, trt)
+    shifted ^= b1
+    shift_failure = first_pair(si, ti, b2 != shifted)
+    del shifted
+
+    # the radical vector of the plane <w_s, w0, w_t> is tr_t w_s + b1 w0 + tr_s w_t
+    def v(key):
+        """The `key` coordinate of tr_t w_s + tr_s w_t; b1 w0 adds b1 to y and yq."""
+        out = m(trt, A[key][si])
+        out ^= m(trs, A[key][ti])
+        return out
+
+    # qt(v) + b1 b2 = vx vzq + vxq vz + vy vyq + b1 b2 must vanish; vyq is
+    # formed first so that b1 itself can become vy in place
+    rad = m(b1, b2)
+    del b2
+    vyq = v("yq")
+    vyq ^= b1
+    b1 ^= m(trt, A["y"][si])
+    b1 ^= m(trs, A["y"][ti])
+    rad ^= m(b1, vyq)
+    del b1, vyq
+    for a, b in (("x", "zq"), ("xq", "z")):
+        rad ^= m(v(a), v(b))
+    return cls, first_pair(si, ti, rad != 0), shift_failure
 
 
 def klein_table_bundle(ctx):

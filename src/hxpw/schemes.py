@@ -319,7 +319,8 @@ class SchemeAnalytics:
     # -- strongly regular fusion -------------------------------------------------
 
     def srg_parameters(self, merged):
-        """`srg_check` of the union of the given classes, from the p-numbers.
+        """Strongly regular parameters of the union of the given classes,
+        from the p-numbers.
 
         A = sum_{m in M} A_m has A^2 = sum_{a,b in M} A_a A_b, so a pair in
         class c has sum_{a,b in M} p^c_ab common neighbours.
@@ -373,7 +374,7 @@ def primitivity(table: RelationTable):
 
 
 # ---------------------------------------------------------------------------
-# fusions, strongly regular graphs, table comparison
+# fusions
 
 def fuse(table: RelationTable, partition):
     """Relabel classes by their part index (1-based); identity stays 0."""
@@ -385,45 +386,6 @@ def fuse(table: RelationTable, partition):
         for c in part:
             lut[c] = idx
     return RelationTable(lut[table.classes], d=len(partition))
-
-
-def srg_check(table: RelationTable, merged):
-    """Exact strongly-regular check of the union of the given classes."""
-    merged = sorted(set(merged))
-    if not merged:
-        raise ValueError("merged class set is empty")
-    adj = np.isin(table.classes, merged)
-    np.fill_diagonal(adj, False)
-    n = table.n
-    deg = adj.sum(axis=1)
-    if deg.min() != deg.max():
-        w = int(np.argmin(deg))
-        return {"pass": False, "reason": "not regular", "witness_vertex": w,
-                "degrees": [int(deg.min()), int(deg.max())]}
-    k = int(deg[0])
-    A = adj.astype(np.float64)
-    A2 = A @ A
-    off = ~np.eye(n, dtype=bool)
-    lam_vals = A2[adj]
-    mu_mask = off & ~adj
-    if not lam_vals.size or lam_vals.min() != lam_vals.max():
-        return {"pass": False, "reason": "common-neighbor count varies on edges"}
-    lam = int(lam_vals[0])
-    if not mu_mask.any():
-        return {"pass": True, "degenerate": True, "v": n, "k": k,
-                "lambda": lam, "mu": None,
-                "reason": "complete graph; mu undefined"}
-    mu_vals = A2[mu_mask]
-    if mu_vals.min() != mu_vals.max():
-        return {"pass": False, "reason": "common-neighbor count varies on non-edges"}
-    mu = int(mu_vals[0])
-    expect = k * np.eye(n) + lam * A + mu * (np.ones((n, n)) - np.eye(n) - A)
-    if not np.array_equal(A2, expect):
-        xs, ys = np.nonzero(A2 != expect)
-        return {"pass": False, "reason": "A^2 identity fails",
-                "witness_pair": [int(xs[0]), int(ys[0])]}
-    return {"pass": True, "degenerate": False, "v": n, "k": k,
-            "lambda": lam, "mu": mu}
 
 
 # ---------------------------------------------------------------------------

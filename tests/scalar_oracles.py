@@ -9,8 +9,10 @@ of a pair by row reduction and the passant census by enumeration.  The rest
 enumerate what the bulk `line_census` and `klein_images` count: every
 totally isotropic line through every isotropic point (as tuples,
 `hermitian_points`), and the GF(q)-spans and perps of the
-conjugate-pattern 6-space.  They are exhaustive only at h <= 2.  The last
-helpers cut line sets apart, inject a wrong Klein image into both routes
+conjugate-pattern 6-space.  They are exhaustive only at h <= 2.
+`srg_check` counts the common neighbours of a fused class graph directly,
+the oracle of `SchemeAnalytics.srg_parameters`.  The last helpers cut line
+sets apart, inject a wrong Klein image into both routes
 at once and hand the `passants` block edited pair lines.
 """
 
@@ -257,6 +259,49 @@ def klein_images(ctx, lines, S):
     return {"pass": not (proj_fail or w0_fail or image_fail or singular_fail),
             "projective_mismatches": proj_fail, "w0_not_on_secant": w0_fail,
             "spread_image_mismatches": image_fail, "nonsingular_images": singular_fail}
+
+
+# ---------------------------------------------------------------------------
+# the strongly regular fusion by counting common neighbours
+
+def srg_check(table, merged):
+    """Exact strongly-regular check of the union of the given classes of a
+    RelationTable, by squaring its adjacency matrix."""
+    merged = sorted(set(merged))
+    if not merged:
+        raise ValueError("merged class set is empty")
+    adj = np.isin(table.classes, merged)
+    np.fill_diagonal(adj, False)
+    n = table.n
+    deg = adj.sum(axis=1)
+    if deg.min() != deg.max():
+        w = int(np.argmin(deg))
+        return {"pass": False, "reason": "not regular", "witness_vertex": w,
+                "degrees": [int(deg.min()), int(deg.max())]}
+    k = int(deg[0])
+    A = adj.astype(np.float64)
+    A2 = A @ A
+    off = ~np.eye(n, dtype=bool)
+    lam_vals = A2[adj]
+    mu_mask = off & ~adj
+    if not lam_vals.size or lam_vals.min() != lam_vals.max():
+        return {"pass": False, "reason": "common-neighbor count varies on edges"}
+    lam = int(lam_vals[0])
+    if not mu_mask.any():
+        return {"pass": True, "degenerate": True, "v": n, "k": k,
+                "lambda": lam, "mu": None,
+                "reason": "complete graph; mu undefined"}
+    mu_vals = A2[mu_mask]
+    if mu_vals.min() != mu_vals.max():
+        return {"pass": False, "reason": "common-neighbor count varies on non-edges"}
+    mu = int(mu_vals[0])
+    expect = k * np.eye(n) + lam * A + mu * (np.ones((n, n)) - np.eye(n) - A)
+    if not np.array_equal(A2, expect):
+        xs, ys = np.nonzero(A2 != expect)
+        return {"pass": False, "reason": "A^2 identity fails",
+                "witness_pair": [int(xs[0]), int(ys[0])]}
+    return {"pass": True, "degenerate": False, "v": n, "k": k,
+            "lambda": lam, "mu": mu}
 
 
 # ---------------------------------------------------------------------------

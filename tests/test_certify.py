@@ -57,7 +57,7 @@ def test_h2_verifies_the_3_class_table_once(cert2_run):
 def test_srg_block_matches_srg_check(cert2, cert_h3_cli, hx_bundle_2, hx_bundle_3):
     for cert, bundle in ((cert2, hx_bundle_2), (cert_h3_cli["cert"], hx_bundle_3)):
         block = cert["blocks"]["srg"]
-        oracle = schemes.srg_check(RelationTable(bundle["table"], d=3),
+        oracle = so.srg_check(RelationTable(bundle["table"], d=3),
                                    block["merged_classes"])
         assert block["result"] == oracle
 

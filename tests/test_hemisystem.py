@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,29 @@ def test_klein_equals_conic(hx_bundle_2, pw_bundle_2):
 def test_factorization_sweep(pw_bundle_2):
     assert pw_bundle_2["factorization_ok"]
     assert pw_bundle_2["shift_ok"]
+
+
+@pytest.mark.parametrize("kernel, bound", [("classify_pairs", 8), ("klein_classify_pairs", 10)])
+def test_sweep_kernel_peak_memory(ctx3, kernel, bound):
+    """Peak allocation of one kernel call on the first h = 3 block, in
+    int64 arrays of the block's length; the sweep's working set is this
+    times PAIR_CHUNK."""
+    A = hs.klein_arrays(ctx3)
+    # the cached tables are built before tracing: they are not the kernel's
+    conic.pair_arrays(ctx3)
+    conic.trace_sets(ctx3)
+    si, ti = next(conic.pair_chunks(len(pair_reps(ctx3))))
+    call = {"classify_pairs": lambda: conic.classify_pairs(ctx3, si, ti),
+            "klein_classify_pairs": lambda: hs.klein_classify_pairs(ctx3, A, si, ti)}[kernel]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[2] is None  # the closed form, or the pairing shift, holds on the block
+    assert (peak - start) / (8 * si.size) <= bound
 
 
 def test_nu_dictionary(ctx2, pw_bundle_2):
