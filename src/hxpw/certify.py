@@ -150,8 +150,10 @@ def _algebraic_routes(st):
         if ctx.h > TABLE_MAX_H:
             chunks = _classified_chunks(ctx)
         else:
-            hx = st.hx = conic.table_bundle(ctx)
+            # the Klein sweep, the larger of the two, runs first, so that the
+            # hx table and fine table are not held through it
             pw = hemisystem.klein_table_bundle(ctx)
+            hx = st.hx = conic.table_bundle(ctx)
             failures = (hx["closed_form_failure"], pw["factorization_failure"],
                         pw["shift_failure"])
             chunks = ((si, ti, hx["table"][si, ti], pw["table"][si, ti], *failures)

@@ -36,12 +36,13 @@ import numpy as np
 from .fields import FieldTower
 
 
-# Candidate pairs per pair_chunks block; bounds a sweep's working set, at most
-# six (classify_pairs) or eight (klein_classify_pairs) int64 arrays of a
-# block's length.  A smaller block would save memory and some time, but the
-# benchmark's export_q8 peak_rss_mb counts how many passes fit into its run,
-# so a faster pass reads as more memory; it stays at 1 << 20 until that
-# benchmark measures each command's own peak (ROADMAP item 1).
+# Candidate pairs per pair_chunks block; bounds a sweep's working set: the
+# block's two int64 index arrays, plus at most six (classify_pairs) or eight
+# (klein_classify_pairs) int64 arrays of its length in the kernel.  A smaller
+# block would save memory and some time, but the benchmark's export_q8
+# peak_rss_mb counts how many passes fit into its run, so a faster pass reads
+# as more memory; it stays at 1 << 20 until that benchmark measures each
+# command's own peak (ROADMAP item 1).
 PAIR_CHUNK = 1 << 20
 
 
@@ -140,12 +141,15 @@ def pair_chunks(n):
     """(si, ti) index arrays of the pairs i < j of range(n), in row order.
 
     Each block covers whole rows, at most PAIR_CHUNK candidates (or one row).
+    Across the yield the generator holds only the two index arrays it
+    yields (np.nonzero's one (pairs, 2) int64 buffer): the bool mask is
+    dropped and the row offset is added in place.
     """
     rows = max(1, PAIR_CHUNK // n)
     for r0 in range(0, n - 1, rows):
-        block = np.triu(np.ones((min(rows, n - r0), n), dtype=bool), r0 + 1)
-        si, ti = np.nonzero(block)
-        yield si + r0, ti
+        si, ti = np.nonzero(np.triu(np.ones((min(rows, n - r0), n), dtype=bool), r0 + 1))
+        si += r0
+        yield si, ti
 
 
 def rho_of_pairs(ctx, si, ti):

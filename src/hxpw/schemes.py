@@ -152,13 +152,20 @@ class RelationTable:
 
 
 FLOAT32_EXACT = 1 << 24  # float32 holds every integer below this exactly
+# Rows of A_i per walk-count product; a table of at most this many points
+# (every h <= 2) is one block.
+WALK_ROWS = 256
 
 
 def verify_scheme(table: RelationTable):
     """Intersection-number constancy from the products A_i A_j, 1 <= i <= j < d.
 
     The remaining p-numbers follow from A_0 = I and sum_j A_j = J (see the
-    module docstring); returns the analytics.
+    module docstring); returns the analytics.  Each product is formed by
+    row blocks of WALK_ROWS rows and compared with the exact count at each
+    class's first pair, so the working set is one n x n float32 class
+    matrix A_j plus a few float32 blocks of WALK_ROWS x n; only a failing
+    product is formed whole, for its witness.
     """
     n, d = table.n, table.d
     if n >= FLOAT32_EXACT:
@@ -173,14 +180,18 @@ def verify_scheme(table: RelationTable):
             f"empty classes {rep['empty_classes']} (degenerate table)", rep)
     c = table.classes
     firsts = [divmod(int(np.argmax(c == k)), n) for k in range(d + 1)]
-    A = {k: (c == k).astype(np.float32) for k in range(1, d)}
     p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(1, d):
         for j in range(i, d):
-            C = A[i] @ A[j]
-            lut = np.array([C[x, y] for x, y in firsts], dtype=np.float32)
-            if not np.array_equal(C, lut[c]):
-                raise _walk_witness(C, c, i, j, firsts)
+            # lut[k]: #{z : c[x, z] = i, c[z, y] = j} at the first pair (x, y) of class k
+            lut = np.array([np.count_nonzero((c[x] == i) & (c[y] == j)) for x, y in firsts],
+                           dtype=np.float32)  # c is symmetric: c[z, y] = c[y, z]
+            Aj = (c == j).astype(np.float32)
+            for r0 in range(0, n, WALK_ROWS):
+                block = c[r0:r0 + WALK_ROWS]
+                if not np.array_equal((block == i).astype(np.float32) @ Aj, lut[block]):
+                    raise _walk_witness((c == i).astype(np.float32) @ Aj, c, i, j, firsts)
+            del Aj  # not held while the next one is built
             for k in range(d + 1):
                 p[k][i][j] = p[k][j][i] = int(lut[k])
     # the diagonal of A_i A_i was constant: class i is regular of degree k_i

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ def test_pair_chunks_cover_every_pair_once_in_row_order(monkeypatch, n):
         ti = np.concatenate([b[1] for b in blocks] or [np.zeros(0, int)])
         assert np.array_equal(si, iu) and np.array_equal(ti, ju)
         assert all(0 < np.unique(b[0]).size <= rows for b in blocks)
+
+
+def test_pair_chunks_hold_only_the_yielded_arrays():
+    """Across its yield the generator keeps the two index arrays it hands
+    out and nothing else: no bool mask, no unshifted row indices."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        chunks = conic.pair_chunks(2016)
+        si, ti = next(chunks)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert si[0] == 0 and ti[0] == 1 and si[-1] == si.max()
+    assert held <= si.nbytes + ti.nbytes + (1 << 20)
 
 
 def test_fine_refines_coarse(hx_bundle_2):

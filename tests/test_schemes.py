@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -80,18 +81,54 @@ def test_fault_in_derived_class_fails_with_witness(hx_bundle_2):
     (x, y), (u, v) = (np.argwhere(np.triu(bad == k))[0] for k in (d - 1, d))
     bad[x, y] = bad[y, x] = d
     bad[u, v] = bad[v, u] = d - 1
+    w = _recounted_walk_witness(bad, d)
+    assert 1 <= w["i"] <= w["j"] < d
+
+
+def _recounted_walk_witness(bad, d):
+    """The witness verify_scheme raises on `bad`, checked by a recount by hand."""
     with pytest.raises(SchemeAxiomError) as exc:
         verify_scheme(RelationTable(bad, d=d))
     w = exc.value.witness
     assert set(w) == {"i", "j", "k", "base_pair", "count", "other_pair", "other_count"}
-    assert 1 <= w["i"] <= w["j"] < d
 
-    def walks(a, b):  # recount by hand: z with bad[a, z] = i and bad[z, b] = j
+    def walks(a, b):  # z with bad[a, z] = i and bad[z, b] = j
         return int(np.count_nonzero((bad[a] == w["i"]) & (bad[:, b] == w["j"])))
 
     assert bad[tuple(w["base_pair"])] == bad[tuple(w["other_pair"])] == w["k"]
     assert walks(*w["base_pair"]) == w["count"]
     assert walks(*w["other_pair"]) == w["other_count"] != w["count"]
+    return w
+
+
+def test_walk_counts_hold_one_class_matrix(hx_bundle_3):
+    """By row blocks, verify_scheme holds one n x n float32 class matrix and
+    a few row blocks: its peak stays under two such matrices."""
+    table = RelationTable(hx_bundle_3["table"], d=3)
+    n = table.n
+    assert n > schemes.WALK_ROWS  # several row blocks
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        verify_scheme(table)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 4
+
+
+def test_fault_in_late_row_block_fails_with_witness(hx_bundle_3):
+    """A pair moved from class 3 to class 2 in the last row block of the
+    h = 3 table leaves A_1 as it is, so the first product A_1 A_1 varies
+    only on rows x and y of the last block; the witness names the pair and
+    a by-hand recount confirms it."""
+    bad = hx_bundle_3["table"].copy()
+    x, y = 2000, 2003
+    assert x // schemes.WALK_ROWS == (len(bad) - 1) // schemes.WALK_ROWS > 0
+    assert bad[x, y] == 3
+    bad[x, y] = bad[y, x] = 2
+    w = _recounted_walk_witness(bad, 3)
+    assert (w["i"], w["j"], w["k"], w["other_pair"]) == (1, 1, 2, [x, y])
 
 
 def test_float32_limit_refused():
