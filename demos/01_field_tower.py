@@ -29,6 +29,6 @@ print(f"trace down to GF(q): {t}; fixed by x -> x^q:", ctx.frob_q(t) == t)
 
 # the zero-trace set of GF(q^2) is the image of x -> x + x^2
 t0 = sorted(x for x in ctx.subfield(4) if ctx.abs_trace(x, 4) == 0)
-image = sorted({x ^ ctx.sqr(x) for x in ctx.subfield(4)})
+image = sorted({x ^ ctx.mul(x, x) for x in ctx.subfield(4)})
 print(f"\nzero-trace subset of GF(16): {t0}")
 print("equals the image of x + x^2:", t0 == image)

@@ -26,7 +26,7 @@ bundle = conic.table_bundle(ctx)
 row = Counter(bundle["table"][0].tolist())
 row.pop(0)
 print("\nvalencies of point 0:", dict(sorted(row.items())))
-print("closed-form identity held on every pair:", bundle["closed_form_ok"])
+print("closed-form identity held on every pair:", bundle["closed_form_failure"] is None)
 
 fine = bundle["fine_to_coarse"]
 print(f"\nrefined scheme: {len(fine)} classes keyed by the value pair "

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import conic, hemisystem, schemes
-from .certify import certify as run_certify
+from .certify import TABLE_MAX_H, certify as run_certify
 from .conic import pair_reps
 from .fields import tower
 
@@ -213,8 +213,8 @@ def main(argv=None) -> int:
     if args.h < 1:
         print("--h must be a positive integer", file=sys.stderr)
         return 2
-    if args.command != "certify" and args.h >= 4:
-        print("table materialization is supported for h <= 3", file=sys.stderr)
+    if args.command != "certify" and args.h > TABLE_MAX_H:
+        print(f"table materialization is supported for h <= {TABLE_MAX_H}", file=sys.stderr)
         return 2
     try:
         with _threads_context(args.threads):

@@ -219,8 +219,8 @@ def table_bundle(ctx):
 
     Returns a dict with the int8 class `table`, the int16 `fine_table`
     (fine class k is the k-th smallest fine key that occurs),
-    `fine_to_coarse` (fine class -> coarse class), `closed_form_ok` and
-    `closed_form_failure`, the first pair where the closed form fails.
+    `fine_to_coarse` (fine class -> coarse class) and `closed_form_failure`,
+    the first pair where the closed form fails, or None.
     """
     n = len(pair_reps(ctx))
     table = np.zeros((n, n), dtype=np.int8)
@@ -239,7 +239,7 @@ def table_bundle(ctx):
     return {"table": table, "fine_table": lut[keys],
             "fine_to_coarse": {k: int(coarse_of_key[lam])
                                for k, lam in enumerate(labels, start=1)},
-            "closed_form_ok": failure is None, "closed_form_failure": failure}
+            "closed_form_failure": failure}
 
 
 # ---------------------------------------------------------------------------

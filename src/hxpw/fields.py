@@ -21,6 +21,10 @@ multiplicative generator; the test suite checks inversion against the
 extended Euclidean algorithm on polynomials.  Bulk operations on numpy int
 arrays use the same tables and are cross-checked against the scalar route
 in the test suite.
+
+The package's one exact Gauss-Jordan elimination (`rref_rows`, `nullspace`)
+runs over any field object with ``zero``, ``one``, ``inv``, ``mul`` and
+``sub``: a FieldTower in the geometry, the rationals in `schemes`.
 """
 
 from __future__ import annotations
@@ -114,7 +118,10 @@ class FieldTower:
     degree : 4h, the ambient extension degree over GF(2)
     modulus : int-encoded reducing polynomial
     omega : distinguished element with omega^(q^2) = omega + 1
+    zero, one : the additive and multiplicative identities, 0 and 1
     """
+
+    zero, one = 0, 1
 
     def __init__(self, h: int) -> None:
         if not isinstance(h, int) or h < 1:
@@ -198,8 +205,8 @@ class FieldTower:
         self.check(b)
         return self._exp[self._log[a] + self._log[b]]
 
-    def sqr(self, a: int) -> int:
-        return self._sqr[self.check(a)]
+    def sub(self, a: int, b: int) -> int:
+        return a ^ b  # characteristic 2: a - b = a + b
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse: g^(-log a) from the log/exp tables."""
@@ -285,6 +292,44 @@ class FieldTower:
         for _ in range(k % self.degree):
             a = self._sqr_np[a]
         return a
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over an exact field
+
+def rref_rows(field, rows):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = field.inv(rows[r][c])
+        rows[r] = [field.mul(pv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def nullspace(field, rows, width):
+    """A basis of {v : M v = 0} for the matrix M given by `rows`, one per free column."""
+    red, pivots = rref_rows(field, rows)
+    basis = []
+    for fc in (c for c in range(width) if c not in pivots):
+        v = [field.one if c == fc else field.zero for c in range(width)]
+        for row, pc in zip(red, pivots):
+            v[pc] = field.sub(field.zero, row[fc])
+        basis.append(tuple(v))
+    return basis
 
 
 @lru_cache(maxsize=None)

@@ -22,9 +22,13 @@ Conventions, fixed once so every set comparison is exact tuple equality:
   the Klein image of an extended GF(q)-line has a scalar multiple of that
   pattern (`pattern_scalars` finds it for many images at once).
 
+The points and extended lines of W(3, q) are held only as arrays
+(`w_points`, `w_lines`, `w_line_index`).
+
 The GF(q)-linear kernel behind `w_meeting_line_through` is taken in
 explicit GF(q) coordinates obtained by splitting GF(q^2) over the basis
-{1, e}, where e is the smallest element of GF(q^2) outside GF(q).
+{1, e}, where e is the smallest element of GF(q^2) outside GF(q).  Row
+reductions use the Gauss-Jordan elimination of `fields`.
 """
 
 from __future__ import annotations
@@ -33,55 +37,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fields import nullspace, rref_rows
+
 W0 = (0, 0, 1, 1, 0, 0)  # the distinguished radical direction of the fixed hyperplane
 
 
 class StructureError(RuntimeError):
     """A geometric structure claim failed (certificate failure)."""
-
-
-# ---------------------------------------------------------------------------
-# generic exact linear algebra on int-encoded rows (entries in any subfield)
-
-def rref_rows(ctx, rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    width = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(pv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x ^ ctx.mul(f, y) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]], pivots
-
-
-def nullspace(ctx, rows, width):
-    """RREF basis of {v : M v = 0} for the matrix M given by `rows`."""
-    red, pivots = rref_rows(ctx, rows)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * width
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = red[i][fc]  # char 2: -x = x
-        basis.append(tuple(v))
-    basis, _ = rref_rows(ctx, basis)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -286,45 +248,32 @@ def is_w_point(ctx, p):
 
 
 @lru_cache(maxsize=None)
-def w_point_set(ctx):
-    """Normalized points spanned by pattern vectors; size (q+1)(q^2+1)."""
-    pts = set()
-    Fq = ctx.subfield(ctx.h)
-    F = ctx.subfield(2 * ctx.h)
-    for a in Fq:
-        for b in Fq:
-            for x in F:
-                if a or b or x:
-                    pts.add(normalize_point(ctx, (a, ctx.frob_q(x), x, b)))
-    return frozenset(pts)
+def w_points(ctx):
+    """The (q+1)(q^2+1) points spanned by pattern vectors, as a sorted (k, 4) array."""
+    Fq = np.array(ctx.subfield(ctx.h), dtype=np.int64)
+    F = np.array(ctx.subfield(2 * ctx.h), dtype=np.int64)
+    a, b, x = (v.ravel() for v in np.meshgrid(Fq, Fq, F, indexing="ij"))
+    V = np.stack([a, ctx.frob_arr(x, ctx.h), x, b], axis=1)
+    return np.unique(normalize_points(ctx, V[V.any(axis=1)]), axis=0)
 
 
 @lru_cache(maxsize=None)
 def w_point_codes(ctx):
-    """The sorted `point_codes` of `w_point_set`."""
-    return np.sort(point_codes(ctx, np.array(list(w_point_set(ctx)))))
+    """The sorted `point_codes` of `w_points`."""
+    return point_codes(ctx, w_points(ctx))
 
 
 @lru_cache(maxsize=None)
 def w_lines(ctx):
     """All totally isotropic GF(q)-lines, extended over GF(q^2).
 
-    Returns a dict: canonical extended line -> frozenset of its GF(q)
-    points (as normalized PG(3,q^2) points).  There are (q+1)(q^2+1) lines,
-    the joins of the hermitian-orthogonal pairs of points of W(3, q).
+    Returns the sorted (k, 2, 4) array of their canonical rows: the
+    (q+1)(q^2+1) joins of hermitian-orthogonal pairs of W(3, q) points.
     """
-    points = sorted(w_point_set(ctx))
-    W = np.array(points, dtype=np.int64)
+    W = w_points(ctx)
     i, j = np.triu_indices(len(W), 1)
     orthogonal = hermitian_arr(ctx, W[i], W[j]) == 0
-    i, j = i[orthogonal], j[orthogonal]
-    rows = join_rows(ctx, W[i], W[j])
-    _, first, line = np.unique(point_codes(ctx, rows), axis=0, return_index=True,
-                               return_inverse=True)
-    on = np.zeros((first.size, len(W)), dtype=bool)
-    on[line, i] = on[line, j] = True
-    return {tuple(map(tuple, rows[f].tolist())): frozenset(points[p] for p in np.flatnonzero(r))
-            for f, r in zip(first, on)}
+    return np.unique(join_rows(ctx, W[i[orthogonal]], W[j[orthogonal]]), axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -344,8 +293,8 @@ def w_line_index(ctx):
     points of `hermitian_codes`, each on exactly one line, and every line
     holds q + 1 W-points.
     """
-    lines = tuple(w_lines(ctx))
-    rows = np.array(lines, dtype=np.int64)
+    rows = w_lines(ctx)
+    lines = tuple(tuple(map(tuple, r)) for r in rows.tolist())
     codes = point_codes(ctx, line_points_arr(ctx, rows[:, 0], rows[:, 1]))
     w_codes = w_point_codes(ctx)
     w_pos, on_w = lookup(w_codes, codes)
@@ -458,12 +407,6 @@ def klein_map(ctx, line):
     return normalize_point(ctx, plucker(ctx, *line))
 
 
-def ambient_quadric(ctx, v6):
-    """X1 X6 + X2 X5 + X3 X4 (vanishes exactly on Klein images)."""
-    m = ctx.mul
-    return m(v6[0], v6[5]) ^ m(v6[1], v6[4]) ^ m(v6[2], v6[3])
-
-
 # ---------------------------------------------------------------------------
 # the conjugate-pattern 6-space and its elliptic quadric
 
@@ -478,14 +421,8 @@ def _check_vt(ctx, w):
         raise ValueError(f"{w} does not have the (x, x^q, y, y^q, z, z^q) pattern")
 
 
-def qt(ctx, w):
-    """Restricted quadratic form x z^q + x^q z + y^(q+1); lands in GF(q)."""
-    _check_vt(ctx, w)
-    return ambient_quadric(ctx, w)
-
-
 def bt(ctx, w, w2):
-    """The alternating polar form of qt; lands in GF(q)."""
+    """The alternating polar form of q_t; lands in GF(q)."""
     _check_vt(ctx, w)
     _check_vt(ctx, w2)
     m = ctx.mul

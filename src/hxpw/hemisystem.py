@@ -362,8 +362,9 @@ def klein_classify_pairs(ctx, A, si, ti):
 
 
 def klein_table_bundle(ctx):
-    """Dict of the n x n Klein-route `table`, `factorization_ok`, `shift_ok`
-    and the first pairs where they fail, `factorization_failure`, `shift_failure`."""
+    """Dict of the n x n Klein-route `table` and the first pairs where the
+    factorization and the shift fail, `factorization_failure` and
+    `shift_failure`, or None."""
     A = klein_arrays(ctx)
     n = A["x"].shape[0]
     table = np.zeros((n, n), dtype=np.int8)
@@ -372,8 +373,7 @@ def klein_table_bundle(ctx):
         cls, fact, shift = klein_classify_pairs(ctx, A, si, ti)
         table[si, ti] = table[ti, si] = cls
         fact_failure, shift_failure = fact_failure or fact, shift_failure or shift
-    return {"table": table, "factorization_ok": fact_failure is None,
-            "shift_ok": shift_failure is None, "factorization_failure": fact_failure,
+    return {"table": table, "factorization_failure": fact_failure,
             "shift_failure": shift_failure}
 
 

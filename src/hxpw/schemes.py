@@ -21,9 +21,11 @@ Everything downstream of the counts is exact rational arithmetic on
   matrices B_1, B_2, ..., which split the space in turn into their exact
   eigenspaces.  Floats only propose the eigenvalues, as the integers
   nearest np.linalg.eigvals; each proposal is confirmed or rejected by an
-  exact nullspace, and eigenspaces that do not fill a space abort
-  certification (these schemes have integral character tables, so a
-  non-integer eigenvalue is a failure, never an approximation);
+  exact nullspace over Q (the Gauss-Jordan elimination of `fields`, which
+  the geometry runs over GF(q^2)), and eigenspaces that do not fill a
+  space abort certification (these schemes have integral character
+  tables, so a non-integer eigenvalue is a failure, never an
+  approximation);
 * the second eigenmatrix is Q = n P^(-1), multiplicities are row 0 of Q;
 * Krein parameters solve Q[l][i] Q[l][j] = sum_k q^k_ij Q[l][k], i.e.
   q^._ij = (1/n) P (Q[:,i] o Q[:,j]); they must be nonnegative;
@@ -35,11 +37,14 @@ Everything downstream of the counts is exact rational arithmetic on
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
+
+from .fields import nullspace, rref_rows
 
 
 class SchemeAxiomError(Exception):
@@ -57,49 +62,23 @@ def _frac_identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def _frac_rref(rows):
-    """Reduced row echelon form of a Fraction matrix: (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+class _Rationals:
+    """Q for `fields.rref_rows`, with Fraction identities: an int zero would
+    turn a later division into a float."""
+
+    zero, one = Fraction(0), Fraction(1)
+    inv = staticmethod(lambda x: 1 / x)
+    mul = staticmethod(operator.mul)
+    sub = staticmethod(operator.sub)
 
 
 def _frac_inverse(A):
     n = len(A)
-    rows, pivots = _frac_rref([list(row) + ident for row, ident in zip(A, _frac_identity(n))])
+    rows, pivots = rref_rows(_Rationals, [list(row) + ident
+                                          for row, ident in zip(A, _frac_identity(n))])
     if pivots != list(range(n)):  # a pivot in the identity half: A is singular
         raise ValueError("singular matrix")
     return [row[n:] for row in rows]
-
-
-def _frac_nullspace(A):
-    rows, pivots = _frac_rref(A)
-    width = len(rows[0]) if rows else 0
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(v)
-    return basis
 
 
 def _eigenspaces(B, lams, basis):
@@ -115,8 +94,8 @@ def _eigenspaces(B, lams, basis):
     spaces = []
     for lam in sorted(set(lams)):
         # the coefficients c with sum_b c_b (basis_b B - lam basis_b) = 0
-        coeffs = _frac_nullspace([[w[j] - lam * v[j] for w, v in zip(images, basis)]
-                                  for j in range(m)])
+        coeffs = nullspace(_Rationals, [[w[j] - lam * v[j] for w, v in zip(images, basis)]
+                                        for j in range(m)], len(basis))
         if coeffs:
             spaces.append([[sum(c * v[j] for c, v in zip(cs, basis)) for j in range(m)]
                            for cs in coeffs])

@@ -10,6 +10,9 @@ enumerate what the bulk `line_census` and `klein_images` count: every
 totally isotropic line through every isotropic point (as tuples,
 `hermitian_points`), and the GF(q)-spans and perps of the
 conjugate-pattern 6-space.  They are exhaustive only at h <= 2.
+The W(3, q) points and extended lines as a point set and a line dict are
+the oracles of `geometry.w_points` and `geometry.w_lines`; the ambient
+quadric and q_t of the Klein side follow them.
 `srg_check` counts the common neighbours of a fused class graph directly,
 the oracle of `SchemeAnalytics.srg_parameters`.  The last helpers cut line
 sets apart, inject a wrong Klein image into both routes
@@ -74,6 +77,54 @@ def moebius_orbit(ctx, generators):
 
 
 # ---------------------------------------------------------------------------
+# W(3, q) as a point set and a line dict, and the Klein quadrics
+
+@lru_cache(maxsize=None)
+def w_point_set(ctx):
+    """Normalized points spanned by pattern vectors; size (q+1)(q^2+1)."""
+    pts = set()
+    Fq = ctx.subfield(ctx.h)
+    F = ctx.subfield(2 * ctx.h)
+    for a in Fq:
+        for b in Fq:
+            for x in F:
+                if a or b or x:
+                    pts.add(g.normalize_point(ctx, (a, ctx.frob_q(x), x, b)))
+    return frozenset(pts)
+
+
+@lru_cache(maxsize=None)
+def w_lines(ctx):
+    """Dict: canonical extended W-line -> frozenset of its W-points, in
+    the order of the canonical rows' point codes."""
+    points = sorted(w_point_set(ctx))
+    W = np.array(points, dtype=np.int64)
+    i, j = np.triu_indices(len(W), 1)
+    orthogonal = g.hermitian_arr(ctx, W[i], W[j]) == 0
+    i, j = i[orthogonal], j[orthogonal]
+    rows = g.join_rows(ctx, W[i], W[j])
+    _, first, line = np.unique(g.point_codes(ctx, rows), axis=0, return_index=True,
+                               return_inverse=True)
+    on = np.zeros((first.size, len(W)), dtype=bool)
+    on[line, i] = on[line, j] = True
+    return {tuple(map(tuple, rows[f].tolist())): frozenset(points[p] for p in np.flatnonzero(r))
+            for f, r in zip(first, on)}
+
+
+def ambient_quadric(ctx, v6):
+    """X1 X6 + X2 X5 + X3 X4 (vanishes exactly on Klein images)."""
+    m = ctx.mul
+    return m(v6[0], v6[5]) ^ m(v6[1], v6[4]) ^ m(v6[2], v6[3])
+
+
+def qt(ctx, w):
+    """Restricted quadratic form x z^q + x^q z + y^(q+1); lands in GF(q)."""
+    if not g.is_vt(ctx, w):
+        raise ValueError(f"{w} does not have the (x, x^q, y, y^q, z, z^q) pattern")
+    return ambient_quadric(ctx, w)
+
+
+# ---------------------------------------------------------------------------
 # the plane PG(2, q^2) and the passants of the conic
 
 def projective_points(ctx, width):
@@ -87,7 +138,7 @@ def projective_points(ctx, width):
 
 def conic_points(ctx):
     """The fixed conic of PG(2, q^2): {(1, c, c^2)} u {(0, 0, 1)}."""
-    pts = [(1, c, ctx.sqr(c)) for c in ctx.subfield(2 * ctx.h)]
+    pts = [(1, c, ctx.mul(c, c)) for c in ctx.subfield(2 * ctx.h)]
     pts.append((0, 0, 1))
     return pts
 
@@ -100,7 +151,7 @@ def pair_line(ctx, t):
     c^(q^2)*(conjugate); taking c in {1, omega} gives a basis.
     """
     cj = ctx.conj
-    a = (1, t, ctx.sqr(t))
+    a = (1, t, ctx.mul(t, t))
     b = tuple(cj(x) for x in a)
     rows = []
     for lam in (1, ctx.omega):
@@ -212,7 +263,7 @@ def klein_vt(ctx, line):
 
 def parabolic_point_set(ctx):
     """Klein images of the extended GF(q)-lines (a parabolic quadric)."""
-    return frozenset(klein_vt(ctx, line) for line in g.w_lines(ctx))
+    return frozenset(klein_vt(ctx, line) for line in w_lines(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +274,7 @@ def line_census(ctx):
     all_lines = {line for p in hermitian_points(ctx) for line, _ in g.h_lines_through(ctx, p)}
     mset = set(map(line_tuple, hs.build_hemisystem(ctx)["rows"]))
     tset = {tau_line(ctx, line) for line in mset}
-    wset = set(g.w_lines(ctx))
+    wset = set(w_lines(ctx))
     q = ctx.q
     expected_total = (q + 1) * (q ** 3 + 1)
     disjoint = (not mset & tset) and (not mset & wset) and (not tset & wset)
@@ -248,7 +299,7 @@ def klein_images(ctx, lines, S):
     q4set = parabolic_point_set(ctx)
     w0_fail = image_fail = singular_fail = 0
     for w, wp, members in zip(*ws, S):
-        if g.qt(ctx, w) != 0 or g.qt(ctx, wp) != 0:
+        if qt(ctx, w) != 0 or qt(ctx, wp) != 0:
             singular_fail += 1
         if vt_normalize(ctx, g.W0) not in vt_span_points(ctx, [w, wp]):
             w0_fail += 1

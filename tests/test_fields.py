@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hxpw.fields import FieldTower, is_irreducible, smallest_irreducible, tower
+from hxpw.fields import (FieldTower, is_irreducible, nullspace, rref_rows,
+                         smallest_irreducible, tower)
+from hxpw.schemes import _frac_inverse, _Rationals
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def test_subfield_rejects_non_divisor():
 def test_abs_trace_zero_counts():
     # oracle: enumerate GF(4) and evaluate x + x^2 directly
     ctx = tower(1)
-    t0 = [x for x in ctx.subfield(2) if (x ^ ctx.sqr(x)) == 0]
+    t0 = [x for x in ctx.subfield(2) if (x ^ ctx.mul(x, x)) == 0]
     assert len(t0) == 2
     assert all(ctx.abs_trace(x, 2) == 0 for x in t0)
     for h in (1, 2, 3):
@@ -274,7 +277,7 @@ def test_trace_zero_set_is_artin_schreier_image():
         ctx = tower(h)
         m = 2 * h
         t0 = {x for x in ctx.subfield(m) if ctx.abs_trace(x, m) == 0}
-        image = {x ^ ctx.sqr(x) for x in ctx.subfield(m)}
+        image = {x ^ ctx.mul(x, x) for x in ctx.subfield(m)}
         assert t0 == image
 
 
@@ -315,3 +318,71 @@ def test_bulk_ops_match_scalar():
             assert all(int(z) == ctx.frobenius(int(x), k) for x, z in zip(a, fk))
         with pytest.raises(ZeroDivisionError):
             ctx.inv_arr(np.array([1, 0, 2]))
+
+
+# ---------------------------------------------------------------------------
+# the one Gauss-Jordan elimination, over GF(q^2) and over Q
+
+def _random_matrix(rng, entries, height, width):
+    """Random rows, with a repeated row and a row of entries[0] now and then to lose rank."""
+    rows = [[rng.choice(entries) for _ in range(width)] for _ in range(height)]
+    if height > 1 and rng.random() < 0.3:
+        rows[-1] = list(rows[0])
+    if rng.random() < 0.2:
+        rows[0] = [entries[0]] * width
+    return rows
+
+
+def _check_elimination(field, rows, width, dot):
+    red, pivots = rref_rows(field, rows)
+    for row, pc in zip(red, pivots):
+        assert row[pc] == field.one
+        assert all(other[pc] == field.zero for other in red if other is not row)
+    basis = nullspace(field, rows, width)
+    assert len(basis) == width - len(red)
+    assert len(rref_rows(field, basis)[0]) == len(basis)  # independent
+    for v in basis:
+        assert all(dot(row, v) == field.zero for row in rows)
+    return basis
+
+
+def test_elimination_over_gf_q2():
+    ctx = tower(2)
+    F = ctx.subfield(2 * ctx.h)
+    rng = random.Random(41)
+
+    def dot(row, v):
+        out = 0
+        for a, b in zip(row, v):
+            out ^= ctx.mul(a, b)
+        return out
+
+    for _ in range(300):
+        width = rng.randint(1, 6)
+        _check_elimination(ctx, _random_matrix(rng, F, rng.randint(1, 5), width), width, dot)
+
+
+def test_elimination_over_the_rationals():
+    rng = random.Random(42)
+    small = [Fraction(k) for k in (0, -3, -2, -1, 1, 2, 3)]  # zero first, as in GF(q^2)
+
+    def dot(row, v):
+        return sum(a * b for a, b in zip(row, v))
+
+    for _ in range(300):
+        width = rng.randint(1, 6)
+        basis = _check_elimination(
+            _Rationals, _random_matrix(rng, small, rng.randint(1, 5), width), width, dot)
+        assert all(type(x) is Fraction for v in basis for x in v)
+    inverted = 0
+    while inverted < 50:
+        n = rng.randint(1, 5)
+        A = _random_matrix(rng, small, n, n)
+        if len(rref_rows(_Rationals, A)[0]) < n:
+            with pytest.raises(ValueError, match="singular"):
+                _frac_inverse(A)
+            continue
+        inverted += 1
+        inv = _frac_inverse(A)
+        assert [[dot(row, col) for col in zip(*A)] for row in inv] == [
+            [int(i == j) for j in range(n)] for i in range(n)]

@@ -124,17 +124,20 @@ def test_bhat_rejects_bad_pattern():
 
 
 def test_w_point_set_count_and_isotropy():
-    for h in (1, 2):
+    for h in (1, 2, 3):
         ctx = tower(h)
         q = ctx.q
-        wset = g.w_point_set(ctx)
+        wset = so.w_point_set(ctx)
         assert len(wset) == (q + 1) * (q * q + 1)
         assert all(g.is_isotropic(ctx, p) for p in wset)
+        W = g.w_points(ctx)
+        assert [tuple(p) for p in W.tolist()] == sorted(wset)
+        assert np.array_equal(g.w_point_codes(ctx), np.sort(g.point_codes(ctx, W)))
 
 
 def test_is_w_point_matches_membership_exhaustively_h1():
     ctx = tower(1)
-    wset = g.w_point_set(ctx)
+    wset = so.w_point_set(ctx)
     for p in so.projective_points(ctx, 4):
         assert g.is_w_point(ctx, p) == (p in wset), p
 
@@ -146,7 +149,7 @@ def test_h_lines_through_counts():
     for h in (1, 2):
         ctx = tower(h)
         q = ctx.q
-        wset = g.w_point_set(ctx)
+        wset = so.w_point_set(ctx)
         pts = so.hermitian_points(ctx)
         sample = pts if h == 1 else random.Random(4).sample(pts, 60)
         for p in sample:
@@ -170,7 +173,7 @@ def test_h_lines_through_rejects_anisotropic():
 def test_fast_meeting_line_matches_search():
     for h in (1, 2):
         ctx = tower(h)
-        wset = g.w_point_set(ctx)
+        wset = so.w_point_set(ctx)
         pts = [p for p in so.hermitian_points(ctx) if p not in wset]
         sample = pts if h == 1 else random.Random(9).sample(pts, 80)
         for p in sample:
@@ -251,9 +254,10 @@ def test_w_lines_match_scalar_kernels():
     for h in (1, 2, 3):
         ctx = tower(h)
         q = ctx.q
-        lines = g.w_lines(ctx)
+        lines = so.w_lines(ctx)
         assert len(lines) == (q + 1) * (q * q + 1)
         assert lines == _scalar_w_lines(ctx)
+        assert [so.line_tuple(rows) for rows in g.w_lines(ctx)] == list(lines)
 
 
 def test_w_line_index_covers_external_points_once():
@@ -261,14 +265,14 @@ def test_w_line_index_covers_external_points_once():
         ctx = tower(h)
         q = ctx.q
         index = g.w_line_index(ctx)
-        wset = g.w_point_set(ctx)
+        wset = so.w_point_set(ctx)
         external = [p for p in so.hermitian_points(ctx) if p not in wset]
         assert len(external) == (q * q + 1) * (q ** 3 - q)
         codes = g.point_codes(ctx, np.array(external))
         pos = np.searchsorted(index["ext_codes"], codes)
         assert np.array_equal(index["ext_codes"][pos], codes)
         assert np.unique(index["ext_codes"]).size == len(external) == index["ext_codes"].size
-        assert set(index["lines"]) == set(g.w_lines(ctx))
+        assert list(index["lines"]) == list(so.w_lines(ctx))
         owner = index["ext_line"][pos]
         sample = range(len(external)) if h < 3 else random.Random(3).sample(
             range(len(external)), 200)
@@ -295,7 +299,7 @@ def test_klein_images_on_quadric():
     rng = random.Random(7)
     for _ in range(1000):
         line = _random_line(ctx, rng)
-        assert g.ambient_quadric(ctx, g.klein_map(ctx, line)) == 0
+        assert so.ambient_quadric(ctx, g.klein_map(ctx, line)) == 0
 
 
 def test_klein_injective_on_all_lines_h1():
@@ -317,7 +321,7 @@ def test_line_through_rejects_rank1():
 
 def test_qt_substitution_and_alternating():
     ctx = tower(2)
-    assert g.qt(ctx, (0, 0, 1, 1, 0, 0)) == 1
+    assert so.qt(ctx, (0, 0, 1, 1, 0, 0)) == 1
     rng = random.Random(3)
     F = ctx.subfield(2 * ctx.h)
     for _ in range(300):
@@ -326,20 +330,20 @@ def test_qt_substitution_and_alternating():
         if not any(w):
             continue
         assert g.bt(ctx, w, w) == 0
-        assert ctx.in_subfield(g.qt(ctx, w), ctx.h)
+        assert ctx.in_subfield(so.qt(ctx, w), ctx.h)
 
 
 def test_qt_rejects_non_pattern():
     ctx = tower(2)
     with pytest.raises(ValueError):
-        g.qt(ctx, (1, 0, 0, 0, 0, 0))
+        so.qt(ctx, (1, 0, 0, 0, 0, 0))
 
 
 def test_hemisystem_images_singular():
     ctx = tower(2)
     from hxpw.conic import pair_reps
     for t in pair_reps(ctx):
-        assert g.qt(ctx, hs.w_vec(ctx, t)) == 0
+        assert so.qt(ctx, hs.w_vec(ctx, t)) == 0
 
 
 def _gamma_basis(ctx):
@@ -390,7 +394,7 @@ def test_parabolic_quadric_inside_hyperplane():
         q4 = so.parabolic_point_set(ctx)
         assert len(q4) == (q + 1) * (q * q + 1)
         assert all(_in_gamma(ctx, w) for w in q4)
-        assert all(g.qt(ctx, w) == 0 for w in q4)
+        assert all(so.qt(ctx, w) == 0 for w in q4)
 
 
 def test_singular_points_are_exactly_line_images():
@@ -401,7 +405,7 @@ def test_singular_points_are_exactly_line_images():
         ctx = tower(h)
         q = ctx.q
         singular = {p for p in so.vt_span_points(ctx, list(so.vt_basis(ctx)))
-                    if g.qt(ctx, p) == 0}
+                    if so.qt(ctx, p) == 0}
         assert len(singular) == (q + 1) * (q ** 3 + 1)
         images = set()
         for p in so.hermitian_points(ctx):

@@ -85,7 +85,7 @@ def test_lines_injective_and_counted(lines_2):
 
 
 def test_lines_isotropic_and_external(lines_2, ctx2):
-    wset = g.w_point_set(ctx2)
+    wset = so.w_point_set(ctx2)
     for codes in lines_2["codes"]:
         points = so.points_of(ctx2, codes)
         assert len(points) == 17
@@ -114,7 +114,7 @@ def test_bulk_construction_rejects_bad_lines():
     """Line 7 replaced by a W-line, a secant line and a repeated row."""
     ctx = tower(2)
     reps = pair_reps(ctx)
-    cases = ((next(iter(g.w_lines(ctx))), "meets the symplectic substructure"),
+    cases = ((g.w_line_index(ctx)["lines"][0], "meets the symplectic substructure"),
              (((1, 0, 0, 0), (0, 0, 0, 1)), "not isotropic"),
              (((1, 0, 0, 0), (1, 0, 0, 0)), "rank < 2"))
     for rows, message in cases:
@@ -142,7 +142,7 @@ def test_tau_involution_on_random_lines():
 
 def test_tau_fixes_extended_lines_h1():
     ctx = tower(1)
-    for line in g.w_lines(ctx):
+    for line in g.w_line_index(ctx)["lines"]:
         assert so.tau_line(ctx, line) == line
 
 
@@ -168,7 +168,7 @@ def test_hemisystem_property_small():
 
 def _cover_oracle(ctx, lines):
     """verify_hemisystem through a dict over point tuples."""
-    wset = g.w_point_set(ctx)
+    wset = so.w_point_set(ctx)
     counts = {}
     for codes in lines["codes"]:
         for p in so.points_of(ctx, codes):
@@ -225,7 +225,7 @@ def test_bulk_spreads_match_meeting_lines():
 
 
 def test_spread_map_rejects_a_w_line(ctx2):
-    line = next(iter(g.w_lines(ctx2)))
+    line = g.w_line_index(ctx2)["lines"][0]
     with pytest.raises(StructureError, match="of rep=0 is not an external point"):
         hs.spread_map(ctx2, _line_set_of(ctx2, [0], [line]))
 
@@ -320,8 +320,8 @@ def test_klein_equals_conic(hx_bundle_2, pw_bundle_2):
 
 
 def test_factorization_sweep(pw_bundle_2):
-    assert pw_bundle_2["factorization_ok"]
-    assert pw_bundle_2["shift_ok"]
+    assert pw_bundle_2["factorization_failure"] is None
+    assert pw_bundle_2["shift_failure"] is None
 
 
 @pytest.mark.parametrize("kernel, bound", [("classify_pairs", 8), ("klein_classify_pairs", 10)])
@@ -585,7 +585,7 @@ def test_klein_images_match_the_span_oracle(monkeypatch):
             del faulty["first_discrepancy"]
             assert faulty == so.klein_images(ctx, bad, S)
         with monkeypatch.context() as mp:
-            assert g.qt(ctx, so.perturb_klein_image(mp, ctx, 0)[1]) == 1
+            assert so.qt(ctx, so.perturb_klein_image(mp, ctx, 0)[1]) == 1
             faulty = hs.klein_images(ctx, lines, tau, S)
             oracle = so.klein_images(ctx, lines, S)
         assert not faulty["pass"] and faulty["spread_image_mismatches"] > 0
