@@ -337,14 +337,9 @@ def _fine_block(ctx, hx):
     nlabels = len(hx["fine_to_coarse"])
     fine = RelationTable(hx["fine_table"], d=nlabels)
     f2c = hx["fine_to_coarse"]
-    parts = [[kk for kk, c in f2c.items() if c == cls] for cls in (1, 2, 3)]
-    parts = [p for p in parts if p]
-    fused = schemes.fuse(fine, parts)
-    # part order must reproduce the coarse labels: map part index -> class
-    lut = np.zeros(len(parts) + 1, dtype=np.int8)
-    for idx, p in enumerate(parts, start=1):
-        lut[idx] = f2c[p[0]]
-    fusion_matches = bool(np.array_equal(lut[fused.classes], hx["table"]))
+    # part c holds the fine classes of coarse class c (class 1 is empty at q = 2)
+    fused = schemes.fuse(fine, [[k for k in f2c if f2c[k] == c] for c in (1, 2, 3)])
+    fusion_matches = bool(np.array_equal(fused.classes, hx["table"]))
     out = {"pass": nlabels == expected_classes and fusion_matches,
            "classes": nlabels, "expected_classes": expected_classes,
            "fusion_matches": fusion_matches, "scheme_verified": "skipped"}

@@ -6,17 +6,17 @@ influenced a run is echoed into the output header, so results are
 deterministic functions of the command line alone.  A certificate depends
 on `--h` alone.
 
-`--threads` caps the BLAS pool used by the counting products (results are
-independent of it) when threadpoolctl is installed, and says on stderr that
-it is ignored when it is not; everything else in the pipeline is
-single-threaded numpy and exact arithmetic.  `certify --depth` is still
-accepted, and says on stderr that it is ignored.
+There is no `--threads`: the counting products run on numpy's BLAS, whose
+pool the environment sizes.  `OPENBLAS_NUM_THREADS=1` caps it at one
+thread, which also avoids a sporadic stall of the h = 2 `fine` stage;
+results are independent of it.  Everything else is single-threaded numpy
+and exact arithmetic.  `--h` above 6 is a usage error.  `certify --depth`
+is still accepted, and says on stderr that it is ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
@@ -28,6 +28,7 @@ from .conic import pair_reps
 from .fields import tower
 
 FAMILIES = ("hx", "pw", "fine")
+MAX_H = 6  # a tower holds Python lists of 2^(4h) entries
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +78,6 @@ def _write_out(path, data: bytes):
     else:
         with open(path, "wb") as f:
             f.write(data)
-
-
-def _threads_context(threads):
-    if threads is None:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=threads)
-    except ImportError:
-        print("--threads ignored: threadpoolctl is not installed", file=sys.stderr)
-        return contextlib.nullcontext()
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +149,7 @@ def _parse_classes(text: str, d: int):
     try:
         classes = sorted({int(x) for x in text.split(",") if x.strip()})
     except ValueError:
-        raise SystemExit(2)
+        classes = []
     if not classes or any(c < 1 or c > d for c in classes):
         print(f"--classes must name classes in 1..{d}", file=sys.stderr)
         raise SystemExit(2)
@@ -179,8 +169,6 @@ def _build_parser():
 
     def common(p, family=False, fmt=None, classes=False):
         p.add_argument("--h", type=int, required=True, help="field exponent, q = 2^h")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap the BLAS pool during counting products")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if family:
             p.add_argument("--family", choices=FAMILIES, default="hx")
@@ -210,15 +198,14 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
-    if args.h < 1:
-        print("--h must be a positive integer", file=sys.stderr)
+    if not 1 <= args.h <= MAX_H:
+        print(f"--h must be an integer in 1..{MAX_H}", file=sys.stderr)
         return 2
     if args.command != "certify" and args.h > TABLE_MAX_H:
         print(f"table materialization is supported for h <= {TABLE_MAX_H}", file=sys.stderr)
         return 2
     try:
-        with _threads_context(args.threads):
-            return COMMANDS[args.command](args)
+        return COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, schemes.SchemeAxiomError) as exc:

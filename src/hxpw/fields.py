@@ -16,11 +16,12 @@ by trial division.  Each tower also carries a distinguished element
 GF(q^2)-basis of GF(q^4) and pins down every construction that needs a
 fixed basis choice.
 
-Scalar multiplication and inversion run on log/exp tables over a fixed
-multiplicative generator; the test suite checks inversion against the
-extended Euclidean algorithm on polynomials.  Bulk operations on numpy int
-arrays use the same tables and are cross-checked against the scalar route
-in the test suite.
+Scalar multiplication and inversion run on log/exp tables over
+``generator``, the smallest g = 2, 3, ... whose powers first return to 1
+after exactly q^4 - 1 steps; that one walk proves g primitive and is the
+exp table.  The test suite checks inversion against the extended Euclidean
+algorithm, and the bulk numpy operations, which use the same tables,
+against the scalar route.
 
 The package's one exact Gauss-Jordan elimination (`rref_rows`, `nullspace`)
 runs over any field object with ``zero``, ``one``, ``inv``, ``mul`` and
@@ -94,20 +95,6 @@ def smallest_irreducible(degree: int) -> int:
     raise RuntimeError(f"no irreducible polynomial of degree {degree}")  # unreachable
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class FieldTower:
     """GF(2^(4h)) with its GF(2^h) and GF(2^(2h)) subfields.
 
@@ -118,6 +105,7 @@ class FieldTower:
     degree : 4h, the ambient extension degree over GF(2)
     modulus : int-encoded reducing polynomial
     omega : distinguished element with omega^(q^2) = omega + 1
+    generator : the multiplicative generator behind the log/exp tables
     zero, one : the additive and multiplicative identities, 0 and 1
     """
 
@@ -154,44 +142,27 @@ class FieldTower:
 
     def _build_tables(self) -> None:
         n1 = self.size - 1
-        g = self._find_generator()
-        # log[0] is the sentinel 2 n1: a log sum or difference involving it
-        # indexes the zero padding of exp, so mul and div need no zero test.
-        exp = [0] * n1
-        log = [2 * n1] * self.size
-        v = 1
-        for i in range(n1):
-            exp[i] = v
-            log[v] = i
-            v = polymod(clmul(v, g), self.modulus)
-        if v != 1:
-            raise RuntimeError("generator order mismatch")  # unreachable
+        for g in range(2, self.size):
+            exp, v = [1], g
+            while v != 1 and len(exp) < n1:  # a zero divisor's powers never return to 1
+                exp.append(v)
+                v = polymod(clmul(v, g), self.modulus)
+            if v == 1 and len(exp) == n1:
+                break
+        else:
+            raise RuntimeError("no multiplicative generator found")
         self.generator = g
-        exp = exp + exp + [0] * (2 * n1 + 1)  # doubled: no % needed for sums
-        self._exp = exp
-        self._log = log
-        self._exp_np = np.array(exp, dtype=np.int64)
-        self._log_np = np.array(log, dtype=np.int32)
+        # exp is doubled so log sums need no %, and log[0] is the sentinel 2 n1:
+        # a log sum or difference involving it indexes the zero padding of exp,
+        # so mul and div need no zero test.
+        self._exp = exp + exp + [0] * (2 * n1 + 1)
+        self._exp_np = np.array(self._exp, dtype=np.int64)
+        self._log_np = np.full(self.size, 2 * n1, dtype=np.int32)
+        self._log_np[exp] = np.arange(n1, dtype=np.int32)
+        self._log = self._log_np.tolist()
         sqr = np.arange(self.size, dtype=np.int64)
         self._sqr_np = self.mul_arr(sqr, sqr)
         self._sqr = self._sqr_np.tolist()
-
-    def _find_generator(self) -> int:
-        n1 = self.size - 1
-        primes = _prime_factors(n1)
-        for g in range(2, self.size):
-            if all(self._pow_raw(g, n1 // p) != 1 for p in primes):
-                return g
-        raise RuntimeError("no multiplicative generator found")  # unreachable
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = polymod(clmul(r, a), self.modulus)
-            a = polymod(clmul(a, a), self.modulus)
-            e >>= 1
-        return r
 
     # -- scalar operations ---------------------------------------------------
 

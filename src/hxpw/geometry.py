@@ -110,10 +110,11 @@ def _lead(P):
 def join_rows(ctx, A, B):
     """The reduced row echelon rows (k, 2, 4) of the lines A[i] B[i].
 
-    A and B hold distinct normalized points.  The second row is the one
-    point of the line whose lead coordinate comes last; the first is the
-    point with the earlier lead, cleared at the second pivot.
+    A and B hold vectors of distinct points, normalized here.  The second
+    row is the one point of the line whose lead coordinate comes last; the
+    first is the point with the earlier lead, cleared at the second pivot.
     """
+    A, B = normalize_points(ctx, A), normalize_points(ctx, B)
     k = np.arange(len(A))
     swap = (_lead(A) > _lead(B))[:, None]
     A, B = np.where(swap, B, A), np.where(swap, A, B)

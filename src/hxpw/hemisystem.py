@@ -107,8 +107,7 @@ def _line_set(ctx, reps, R1, R2, w, w_prime):
     flat = np.flatnonzero(~np.any(geometry.plucker_arr(ctx, R1, R2), axis=1))
     if flat.size:
         raise StructureError(f"m_t rows have rank < 2 (t={reps[flat[0]]})")
-    rows = geometry.join_rows(ctx, geometry.normalize_points(ctx, R1),
-                              geometry.normalize_points(ctx, R2))
+    rows = geometry.join_rows(ctx, R1, R2)
     P = geometry.line_points_arr(ctx, rows[:, 0], rows[:, 1])
     form = geometry.hermitian_arr(ctx, P, P)
     if np.any(form):
@@ -499,11 +498,9 @@ def verify_automorphisms(ctx, table=None):
     X = np.stack([np.append(np.ones(ctx.size, dtype=np.int64), 0),
                   np.append(np.arange(ctx.size), 1)], axis=1)  # PG(1, q^4), inf last
     theta_X = _theta_arr(ctx, X)
-    canon = lambda R1, R2: geometry.join_rows(ctx, geometry.normalize_points(ctx, R1),
-                                              geometry.normalize_points(ctx, R2))
     R = _rational_rows(ctx)
     rows = {"lines": R, "twins": tuple(_tau_rows(ctx, r) for r in R)}
-    canonical = {k: canon(*r) for k, r in rows.items()}
+    canonical = {k: geometry.join_rows(ctx, *r) for k, r in rows.items()}
     H, swap = np.eye(4, dtype=np.int64)[[3, 1, 2, 0]], [0, 2, 1, 3]
     gens = mobius_generators(ctx)
     bad, perms = {}, []  # check -> per generator, where it fails
@@ -523,8 +520,8 @@ def verify_automorphisms(ctx, table=None):
                      axis=1),
                  "form": [form[0, 3] == 0 or np.any(form != ctx.mul_arr(form[0, 3], H))],
                  "symplectic": [np.any(M[:, swap] != Mq[swap])],
-                 **{k: np.any(canon(_matmul(ctx, R1, M.T), _matmul(ctx, R2, M.T))
-                              != canonical[k][pi], axis=(1, 2)) for k, (R1, R2) in rows.items()}}
+                 **{k: np.any(geometry.join_rows(ctx, *(_matmul(ctx, R, M.T) for R in r))
+                              != canonical[k][pi], axis=(1, 2)) for k, r in rows.items()}}
         if table is not None:
             fails["table"] = np.any(table.take(pi, 0).take(pi, 1) != table, axis=1)
         for check, mask in fails.items():

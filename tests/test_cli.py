@@ -53,12 +53,21 @@ def test_build_csv(tmp_path):
     assert len(rows) == 6
 
 
-def test_usage_errors():
+def test_usage_errors(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_certify", lambda *a, **k: pytest.fail("certify was reached"))
     assert main(["build", "--h", "0", "--family", "hx"]) == 2
     assert main(["certify", "--h", "2", "--seed", "1"]) == 2  # no sampled check to seed
     assert main(["certify", "--h", "2", "--depth", "bogus"]) == 2
     assert main(["build", "--h", "4", "--family", "hx"]) == 2
     assert main(["build"]) == 2  # missing --h
+    for argv in (["build", "--h", "1"], ["certify", "--h", "1"], ["export", "--h", "1"]):
+        assert main([*argv, "--threads", "1"]) == 2  # the BLAS pool is set by the environment
+    capsys.readouterr()
+    for h in ("7", "8"):  # refused before any 2^(4h)-entry tower is built
+        assert main(["certify", "--h", h]) == 2
+        assert capsys.readouterr().err == "--h must be an integer in 1..6\n"
+    assert main(["export", "--h", "1", "--format", "graph6", "--classes", "a,b"]) == 2
+    assert capsys.readouterr().err == "--classes must name classes in 1..3\n"
 
 
 def test_certify_h4_needs_no_depth_or_seed(monkeypatch, tmp_path):
@@ -69,8 +78,9 @@ def test_certify_h4_needs_no_depth_or_seed(monkeypatch, tmp_path):
         return {"verdict": "pass"}
 
     monkeypatch.setattr(cli, "run_certify", fake)
-    assert main(["certify", "--h", "4", "--out", str(tmp_path / "c.json")]) == 0
-    assert calls == [((4,), {})]
+    for h in (4, 6):  # 6 is the largest --h accepted
+        assert main(["certify", "--h", str(h), "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == [((4,), {}), ((6,), {})]
 
 
 def test_depth_is_ignored_with_a_note(tmp_path, capsys):
@@ -162,15 +172,3 @@ def test_graph6_encoder_against_networkx_random():
         G = nx.from_numpy_array(A)
         assert graph6_bytes(A) == nx.to_graph6_bytes(G, nodes=range(n),
                                                      header=False)
-
-
-def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    out = tmp_path / "cert.json"
-    assert main(["certify", "--h", "1", "--threads", "1", "--out", str(out)]) == 0
-    assert capsys.readouterr().err == "--threads ignored: threadpoolctl is not installed\n"
-    assert json.loads(out.read_text())["verdict"] == "pass"
-    for argv in (["build", "--h", "1"], ["export", "--h", "1", "--format", "graph6",
-                                         "--classes", "2"]):
-        assert main([*argv, "--threads", "2", "--out", str(tmp_path / "x")]) == 0
-        assert capsys.readouterr().err == "--threads ignored: threadpoolctl is not installed\n"

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hxpw.fields import (FieldTower, is_irreducible, nullspace, rref_rows,
-                         smallest_irreducible, tower)
+from hxpw import fields
+from hxpw.fields import (FieldTower, clmul, is_irreducible, nullspace, polymod,
+                         rref_rows, smallest_irreducible, tower)
 from hxpw.schemes import _frac_inverse, _Rationals
 
 
@@ -125,6 +126,35 @@ def test_generator_of_x_at_h1():
     ctx = tower(1)
     g = 0b0010  # the class of X
     assert _pow(ctx, g, 4) == g ^ 1  # X^4 reduces to X + 1
+
+
+def _order(g, modulus, bound):
+    """Multiplicative order of g mod the modulus, or None past `bound` powers."""
+    v = g
+    for k in range(1, bound + 1):
+        if v == 1:
+            return k
+        v = polymod(clmul(v, g), modulus)
+    return None
+
+
+def test_generator_is_smallest_primitive_element():
+    gens = []
+    for h in (1, 2, 3, 4):
+        ctx = tower(h)
+        n1 = ctx.size - 1
+        orders = [_order(g, ctx.modulus, n1) for g in range(2, ctx.generator + 1)]
+        assert orders[-1] == n1
+        assert n1 not in orders[:-1]
+        gens.append(ctx.generator)
+    assert gens == [2, 3, 3, 3]
+
+
+def test_reducible_modulus_finds_no_generator(monkeypatch):
+    # X^4 + 1 = (X + 1)^4: units have order dividing 8, zero divisors never return to 1
+    monkeypatch.setattr(fields, "smallest_irreducible", lambda degree: 0b10001)
+    with pytest.raises(RuntimeError):
+        FieldTower(1)
 
 
 def test_mul_identity_and_inverse_law():

@@ -193,9 +193,13 @@ def test_bulk_line_points_match_line_points():
         P = g.line_points_arr(ctx, rows[:, 0], rows[:, 1])
         assert [[tuple(p) for p in pts] for pts in P.tolist()] == [
             g.line_points(ctx, line) for line in lines]
+        c = ctx.subfield(2 * h)[-1]  # a GF(q^2) scalar other than 1
         for a, b in ((0, -1), (-1, 0), (1, -1)):  # the later lead first or last, or equal
             assert [tuple(map(tuple, r)) for r in
                     g.join_rows(ctx, P[:, a], P[:, b]).tolist()] == lines
+            # join_rows normalizes its inputs itself
+            assert np.array_equal(g.join_rows(ctx, ctx.mul_arr(c, P[:, a]), P[:, b]),
+                                  g.join_rows(ctx, P[:, a], P[:, b]))
         codes = g.point_codes(ctx, P).ravel()
         tuples = [tuple(p) for p in P.reshape(-1, 4).tolist()]
         assert [g.decode_point(ctx, c) for c in codes] == tuples
