@@ -210,18 +210,27 @@ def _tau_consistency(st):
     return {"tau_consistency": block}
 
 
+def _klein_images(st):
+    """The last stage that reads the tau lines and S, so it drops them: the
+    scheme stages then form their walk counts without them."""
+    block = hemisystem.klein_images(st.ctx, st.lines, st.tau, st.S)
+    st.tau = st.S = None
+    return {"klein_images": block}
+
+
 def _scheme(st):
     """Scheme axioms of the hx table, which stand for the pw table: the
     routes block has shown the two tables equal."""
     table = RelationTable(st.hx["table"], d=3)
-    struct = table.structure_report()
-    st.degenerate = struct["degenerate"]
-    if st.degenerate:
-        return {"scheme_hx": {
-            "skipped": f"empty classes {struct['empty_classes']} at q={st.ctx.q}"}}
     try:
         st.analytics = schemes.verify_scheme(table)
     except SchemeAxiomError as exc:
+        # the structure report, which verify_scheme raises with, marks a table
+        # with an empty class (h = 1) as degenerate: a skip, not a failure
+        st.degenerate = bool(exc.witness.get("degenerate"))
+        if st.degenerate:
+            return {"scheme_hx": {"skipped": f"empty classes {exc.witness['empty_classes']} "
+                                             f"at q={st.ctx.q}"}}
         return {"scheme_hx": {"pass": False, "error": str(exc), "witness": exc.witness}}
     return {"scheme_hx": {"pass": True, "d": 3, "valencies": st.analytics.valencies}}
 
@@ -250,8 +259,7 @@ STAGES = (
     ("tau_consistency", ("tau_consistency",), _tables, _tau_consistency),
     ("line_census", ("line_census",), _tables,
           lambda st: {"line_census": hemisystem.line_census(st.ctx, st.lines, st.tau)}),
-    ("klein_images", ("klein_images",), _tables,
-          lambda st: {"klein_images": hemisystem.klein_images(st.ctx, st.lines, st.tau, st.S)}),
+    ("klein_images", ("klein_images",), _tables, _klein_images),
     ("scheme", ("scheme_hx",), _tables, _scheme),
     ("spectrum", ("eigenmatrix", "krein", "srg"), _tables, _spectrum),
     ("fine", ("fine",), _tables, lambda st: {"fine": _fine_block(st.ctx, st.hx)}),
@@ -281,16 +289,17 @@ def _geometric_agreement(ctx, table, lines, S):
 def _row_zero_discrepancy(ctx, geo, lines, S):
     """Where the scalar route disagrees with the bulk spread or row 0, or None."""
     codes, wl = lines["codes"], geometry.w_line_index(ctx)["lines"]
-    members = [set(np.flatnonzero(row).tolist()) for row in S]
+    members = lambda i: set(np.flatnonzero(S[i]).tolist())  # line i's spread, as S columns
     spread = {geometry.w_meeting_line_through(ctx, geometry.decode_point(ctx, c))
               for c in codes[0]}
-    bulk = {wl[k] for k in members[0]}
+    spread0 = members(0)
+    bulk = {wl[k] for k in spread0}
     if spread != bulk:
         return {"line_index": 0, "rep": int(lines["reps"][0]), "scalar_spread_size": len(spread),
                 "bulk_spread_size": len(bulk), "shared_members": len(spread & bulk)}
     points = set(codes[0].tolist())
     for j in range(1, len(codes)):
-        c = hemisystem.geometric_class(ctx, points, set(codes[j].tolist()), members[0], members[j])
+        c = hemisystem.geometric_class(ctx, points, set(codes[j].tolist()), spread0, members(j))
         if c != geo[0, j]:
             return {"pair_indices": [0, j], "geometric": int(geo[0, j]), "scalar": c}
     return None

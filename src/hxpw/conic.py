@@ -38,12 +38,13 @@ from .fields import FieldTower
 
 # Candidate pairs per pair_chunks block; bounds a sweep's working set: the
 # block's two int64 index arrays, plus at most six (classify_pairs) or eight
-# (klein_classify_pairs) int64 arrays of its length in the kernel.  A smaller
-# block would save memory and some time, but the benchmark's export_q8
-# peak_rss_mb counts how many passes fit into its run, so a faster pass reads
-# as more memory; it stays at 1 << 20 until that benchmark measures each
-# command's own peak (ROADMAP item 1).
-PAIR_CHUNK = 1 << 20
+# (klein_classify_pairs) int64 arrays of its length in the kernel.  On a
+# 2-core host, going from 1 << 20 to 1 << 16 cut the traced peak of the h = 3
+# Klein sweep from 71.8 to 8.7 MB, and the h = 4 sweep over rows 0-63 ran at
+# 2.7-3.6 Mpairs/s against 2.4-2.5.  A shorter pass can still read as more
+# memory in the benchmark's export_q8 peak_rss_mb, which is the runner's
+# high-water mark and so grows with the number of passes that fit into a run.
+PAIR_CHUNK = 1 << 16
 
 
 class ClassificationError(RuntimeError):
@@ -217,8 +218,9 @@ def classify_pairs(ctx, si, ti):
 def table_bundle(ctx):
     """The n x n class tables from one chunked sweep of classify_pairs.
 
-    Returns a dict with the int8 class `table`, the int16 `fine_table`
-    (fine class k is the k-th smallest fine key that occurs),
+    Returns a dict with the int8 class `table`, the `fine_table` in the
+    smallest unsigned type that holds its labels (one byte at h <= 3; fine
+    class k is the k-th smallest fine key that occurs),
     `fine_to_coarse` (fine class -> coarse class) and `closed_form_failure`,
     the first pair where the closed form fails, or None.
     """
@@ -234,7 +236,7 @@ def table_bundle(ctx):
         coarse_of_key[key] = cls
         failure = failure or closed
     labels = np.flatnonzero(coarse_of_key)
-    lut = np.zeros(ctx.size, dtype=np.int16)
+    lut = np.zeros(ctx.size, dtype=np.min_scalar_type(labels.size))
     lut[labels] = np.arange(1, labels.size + 1)
     return {"table": table, "fine_table": lut[keys],
             "fine_to_coarse": {k: int(coarse_of_key[lam])

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import geometry
 from .conic import first_pair, pair_arrays, pair_chunks, pair_reps
+from .schemes import WALK_ROWS
 
 INF = "inf"  # projective-line point at infinity
 
@@ -218,23 +219,29 @@ def geometric_class(ctx, points_a, points_b, spread_a, spread_b):
 def geometric_table(ctx, lines, S):
     """The n x n geometric class table, `geometric_class` on every pair at once.
 
-    Shared points come from an inverted point -> lines index and shared
-    spread members from S S^T, with S the `spread_map` of the lines.
+    Shared points come from an inverted point -> lines index, as one uint8
+    n x n count table.  The shared spread members, S[rows] S^T with S the
+    `spread_map` of the lines, and the masks are formed by blocks of
+    `schemes.WALK_ROWS` rows, so they are WALK_ROWS x n, not n x n.
     StructureError at the first pair in row order where `geometric_class`
     raises, naming the reps of that pair.
     """
     reps = lines["reps"]
     n = len(reps)
-    shared = _shared_points(lines["codes"])
-    common = S @ S.T
-    bad = (shared > 1) | ((shared == 0) & (common != 1) & (common != ctx.q + 1))
-    bad = np.triu(bad, 1)
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), n)
-        raise StructureError(f"reps {reps[i]}, {reps[j]}: " + (
-            f"lines share {shared[i, j]} points" if shared[i, j] > 1 else
-            f"spreads share {int(common[i, j])} lines (expected 1 or q+1)"))
-    table = np.where(shared == 1, np.int8(1), np.where(common == 1, np.int8(2), np.int8(3)))
+    counts = _shared_points(lines["codes"])
+    table = np.empty((n, n), dtype=np.int8)
+    for r0 in range(0, n, WALK_ROWS):
+        r1 = min(r0 + WALK_ROWS, n)
+        shared, common = counts[r0:r1], S[r0:r1] @ S.T
+        bad = (shared > 1) | ((shared == 0) & (common != 1) & (common != ctx.q + 1))
+        bad = np.triu(bad, r0 + 1)  # the pairs i < j
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), n)
+            raise StructureError(f"reps {reps[r0 + i]}, {reps[j]}: " + (
+                f"lines share {shared[i, j]} points" if shared[i, j] > 1 else
+                f"spreads share {int(common[i, j])} lines (expected 1 or q+1)"))
+        table[r0:r1] = np.where(shared == 1, np.int8(1),
+                                np.where(common == 1, np.int8(2), np.int8(3)))
     np.fill_diagonal(table, 0)
     return table
 
@@ -253,9 +260,10 @@ def _shared_points(codes):
         pairs.append(line[:-d][same] * n + line[d:][same])
         d += 1
     pair, count = np.unique(np.concatenate(pairs), return_counts=True)
+    a, b = np.divmod(pair, n)
     shared = np.zeros((n, n), dtype=np.uint8)
-    shared[pair // n, pair % n] = count
-    return shared + shared.T
+    shared[a, b] = shared[b, a] = count
+    return shared
 
 
 # ---------------------------------------------------------------------------

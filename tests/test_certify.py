@@ -27,16 +27,22 @@ def cert1():
 
 @pytest.fixture(scope="module")
 def cert2_run():
-    """certify(2), with the class count d of every verify_scheme call."""
+    """certify(2), with (function, class count d) for every verify_scheme and
+    structure_report call."""
     calls = []
-    real = schemes.verify_scheme
+    real, report = schemes.verify_scheme, RelationTable.structure_report
 
     def counting(table):
-        calls.append(table.d)
+        calls.append(("verify_scheme", table.d))
         return real(table)
+
+    def counting_report(table):
+        calls.append(("structure_report", table.d))
+        return report(table)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schemes, "verify_scheme", counting)
+        mp.setattr(RelationTable, "structure_report", counting_report)
         cert = certify(2)
     return cert, calls
 
@@ -49,7 +55,8 @@ def cert2(cert2_run):
 def test_h2_verifies_the_3_class_table_once(cert2_run):
     cert, calls = cert2_run
     assert cert["verdict"] == "pass"
-    assert calls.count(3) == 1
+    # one verify_scheme, and inside it the table's one structure report
+    assert calls.count(("verify_scheme", 3)) == calls.count(("structure_report", 3)) == 1
     # the pw table is the hx table (routes), so its scheme is not verified again
     assert cert["blocks"]["routes"]["pass"] and "scheme_pw" not in cert["blocks"]
 

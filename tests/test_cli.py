@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -31,6 +32,28 @@ def test_build_fine_h2(tmp_path):
     assert main(["build", "--h", "2", "--family", "fine", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["header"]["class_count"] == 7
+
+
+# sha256 of `build --family fine` at h = 2 and 3; the fine table is one byte
+# per entry, and the files must not show it
+FINE_BUILD_SHA256 = {
+    (2, "json"): "c48653c7c434191a8d9c534d57cffcd989a21cdde01b1ab6d295baf1acbc7fb2",
+    (2, "csv"): "c814fbcfd2748c2caf87fee5894b12e53d9c9557922e8bce517f09e2729b7361",
+    (3, "json"): "cfbf17d6561e2f847dbd62c8bf87b0c96c6f53a83bb8801ed8c5c1ae8adcf8fe",
+    (3, "csv"): "b7528995f23283e779111ac9418340d90979920547367951735b16d9da178825",
+}
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_build_fine_bytes(h, tmp_path, monkeypatch, hx_bundle_2, hx_bundle_3):
+    bundle = {2: hx_bundle_2, 3: hx_bundle_3}[h]
+    assert bundle["fine_table"].dtype == np.uint8
+    monkeypatch.setattr(cli.conic, "table_bundle", lambda ctx: bundle)  # the session's own
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"fine.{fmt}"
+        assert main(["build", "--h", str(h), "--family", "fine", "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FINE_BUILD_SHA256[h, fmt]
 
 
 def test_build_pw_matches_hx(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from hxpw import hemisystem as hs
 from hxpw.conic import pair_reps, nu
 from hxpw.fields import tower
 from hxpw.hemisystem import StructureError
+from hxpw.schemes import WALK_ROWS
 
 import scalar_oracles as so
 
@@ -313,6 +314,91 @@ def test_klein_equals_geometric(ctx2, lines_2, S_2, pw_bundle_2):
     ctx1 = tower(1)
     geo1 = _geometric_table(ctx1, hs.build_hemisystem(ctx1))
     assert np.array_equal(geo1, hs.klein_table_bundle(ctx1)["table"])
+
+
+@pytest.fixture(scope="module")
+def lines_S_3(ctx3):
+    lines = hs.build_hemisystem(ctx3)
+    return lines, hs.spread_map(ctx3, lines)
+
+
+def _geometric_whole_matrix(ctx, lines, S):
+    """`geometric_table` with every count and mask formed n x n at once: the
+    shared points from np.unique over all line pairs, the spreads from S S^T."""
+    reps, codes = lines["reps"], lines["codes"]
+    n, k = codes.shape
+    flat = codes.ravel()
+    order = np.argsort(flat, kind="stable")
+    flat, line = flat[order], order // k
+    pairs = [np.zeros(0, dtype=np.int64)]
+    for d in range(1, k * n):
+        same = flat[d:] == flat[:-d]
+        if not same.any():
+            break
+        pairs.append(line[:-d][same] * n + line[d:][same])
+    pair, count = np.unique(np.concatenate(pairs), return_counts=True)
+    shared = np.zeros((n, n), dtype=np.uint8)
+    shared[pair // n, pair % n] = count
+    shared = shared + shared.T
+    common = S @ S.T
+    bad = np.triu((shared > 1) | ((shared == 0) & (common != 1) & (common != ctx.q + 1)), 1)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
+        raise StructureError(f"reps {reps[i]}, {reps[j]}: " + (
+            f"lines share {shared[i, j]} points" if shared[i, j] > 1 else
+            f"spreads share {int(common[i, j])} lines (expected 1 or q+1)"))
+    table = np.where(shared == 1, np.int8(1), np.where(common == 1, np.int8(2), np.int8(3)))
+    np.fill_diagonal(table, 0)
+    return table
+
+
+def test_row_blocks_give_the_whole_matrix_table(ctx3, lines_S_3):
+    lines, S = lines_S_3
+    assert len(lines["reps"]) > 2 * WALK_ROWS  # several row blocks
+    table = hs.geometric_table(ctx3, lines, S)
+    assert table.dtype == np.int8
+    assert np.array_equal(table, _geometric_whole_matrix(ctx3, lines, S))
+
+
+@pytest.mark.parametrize("fault", ["repeated_line", "copied_spread"])
+def test_row_block_fault_past_the_first_block(ctx3, lines_S_3, fault):
+    """Line L, past the first row block, is replaced by line L - 1 (they then
+    share every point), or only its spread is (disjoint lines then share all
+    q^2 + 1 members).  Every earlier pair stays valid, so the first bad pair
+    is (L - 1, L) in both routes, with the same message."""
+    lines, S = lines_S_3
+    L = WALK_ROWS + 44
+    assert not set(lines["codes"][L - 1].tolist()) & set(lines["codes"][L].tolist())
+    idx = np.arange(len(S))
+    idx[L] = L - 1
+    if fault == "repeated_line":
+        lines = so.take(lines, idx)
+    S = S[idx]
+    with pytest.raises(StructureError) as whole:
+        _geometric_whole_matrix(ctx3, lines, S)
+    with pytest.raises(StructureError) as blocks:
+        hs.geometric_table(ctx3, lines, S)
+    reps = lines["reps"]
+    assert str(blocks.value) == str(whole.value)
+    assert str(blocks.value).startswith(f"reps {reps[L - 1]}, {reps[L]}: " + (
+        "lines share 65 points" if fault == "repeated_line" else "spreads share 65 lines"))
+
+
+def test_geometric_table_peak_memory(ctx3, lines_S_3):
+    """Peak allocation of `geometric_table` at h = 3, in bytes per table
+    entry: under the four that S S^T alone takes when it is formed whole in
+    float32 (9.0 with the whole-matrix counts and masks, 3.7 by row blocks)."""
+    lines, S = lines_S_3
+    n = len(S)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = hs.geometric_table(ctx3, lines, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (n, n)
+    assert (peak - start) / n ** 2 < 4
 
 
 def test_klein_equals_conic(hx_bundle_2, pw_bundle_2):
