@@ -36,14 +36,18 @@ generator, point or P row in `first_discrepancy`.
 
 Nothing in a certificate is sampled: it is a deterministic function of h,
 in the format `hxpw-certificate/7`.  Two runs produce byte-identical
-canonical JSON, and `canonical_hash` excludes only the per-stage
-wall-clock `timings` block.
+canonical JSON, and `canonical_hash` excludes only `timings`: each stage's
+wall time `<stage>_s` and the process's peak RSS after it `<stage>_rss_mb`,
+and `total_s`, `total_rss_mb`.  The peak is `ru_maxrss` of the POSIX
+`resource` module, in KB on Linux, the only platform CI and the benchmark
+run on; a high-water mark, so a stage's own peak shows as the step it adds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import resource
 import time
 from types import SimpleNamespace
 
@@ -73,6 +77,10 @@ def canonical_hash(cert: dict) -> str:
     return hashlib.sha256(canonical_json(cert).encode()).hexdigest()
 
 
+def _peak_rss_mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def certify(h: int) -> dict:
     """Run every stage of `STAGES` and return the certificate dict."""
     t_start = time.perf_counter()
@@ -95,6 +103,7 @@ def certify(h: int) -> dict:
             error = f"{type(exc).__name__}: {exc}"
             out = {block: {"pass": False, "error": error} for block in names}
         timings[f"{name}_s"] = round(time.perf_counter() - t0, 3)
+        timings[f"{name}_rss_mb"] = _peak_rss_mb()
         stage_witness = out.pop("witness", None)
         blocks.update(out)
         failed = [block for block in names if blocks[block].get("pass") is False]
@@ -120,6 +129,7 @@ def certify(h: int) -> dict:
                    "pw table, so they are not repeated for it"),
     }
     timings["total_s"] = round(time.perf_counter() - t_start, 3)
+    timings["total_rss_mb"] = _peak_rss_mb()
     cert["timings"] = timings
     cert["canonical_sha256"] = canonical_hash(cert)
     return cert

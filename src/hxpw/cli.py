@@ -10,8 +10,10 @@ There is no `--threads`: the counting products run on numpy's BLAS, whose
 pool the environment sizes.  `OPENBLAS_NUM_THREADS=1` caps it at one
 thread, which also avoids a sporadic stall of the h = 2 `fine` stage;
 results are independent of it.  Everything else is single-threaded numpy
-and exact arithmetic.  `--h` above 6 is a usage error.  `certify --depth`
-is still accepted, and says on stderr that it is ignored.
+and exact arithmetic.  `--h` above 6 is a usage error, and so is
+`export --classes` with any format but graph6.  `certify --depth` is still
+accepted, and says on stderr that it is ignored.  The certificate's
+`timings` carry each stage's peak RSS in MB, from `ru_maxrss` in KB (Linux).
 """
 
 from __future__ import annotations
@@ -108,9 +110,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.classes is not None and args.format != "graph6":
+        print("--classes works only with --format graph6", file=sys.stderr)
+        return 2
     header, table = _family_bundle(args.h, args.family)
     if args.format == "graph6":
-        classes = _parse_classes(args.classes, header["class_count"])
+        classes = _parse_classes("1,2" if args.classes is None else args.classes,
+                                 header["class_count"])
         adj = np.isin(table, classes)
         np.fill_diagonal(adj, False)
         if not adj.any():
@@ -167,16 +173,13 @@ def _build_parser():
         description="Build, certify and export the two 3-class scheme constructions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, family=False, fmt=None, classes=False):
+    def common(p, family=False, fmt=None):
         p.add_argument("--h", type=int, required=True, help="field exponent, q = 2^h")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if family:
             p.add_argument("--family", choices=FAMILIES, default="hx")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
-        if classes:
-            p.add_argument("--classes", default="1,2",
-                           help="comma list of classes to merge (export)")
 
     b = sub.add_parser("build", help="write a relation table")
     common(b, family=True, fmt=("json", "csv"))
@@ -188,7 +191,8 @@ def _build_parser():
                         "exhaustive at every h")
 
     e = sub.add_parser("export", help="export a class-union graph or analytics")
-    common(e, family=True, fmt=("graph6", "csv", "json"), classes=True)
+    common(e, family=True, fmt=("graph6", "csv", "json"))
+    e.add_argument("--classes", help="comma list of classes to merge (graph6 only; default 1,2)")
     return ap
 
 

@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import inspect
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +117,29 @@ def test_canonical_hash_ignores_timings(cert2):
     mutated = json.loads(json.dumps(cert2))
     mutated["timings"] = {"total_s": 99999.0}
     assert canonical_hash(mutated) == canonical_hash(cert2)
+    mutated["timings"] = {**cert2["timings"], "routes_rss_mb": 99999.0, "total_rss_mb": 0.0}
+    assert canonical_hash(mutated) == canonical_hash(cert2)
+
+
+# Starts `certify --h 2` and prints the kernel's ru_maxrss of it, in MB.  It
+# runs in a launcher without numpy, since on Linux a child's ru_maxrss starts
+# from its parent's RSS at spawn, and the test process is far larger.
+WAIT4_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "hxpw", "certify", "--h", "2",
+                          "--out", sys.argv[1]])
+print(os.wait4(child.pid, 0)[2].ru_maxrss / 1024)
+"""
+
+
+def test_self_reported_peak_matches_wait4(tmp_path):
+    out = tmp_path / "cert.json"
+    proc = subprocess.run([sys.executable, "-c", WAIT4_LAUNCHER, str(out)],
+                          capture_output=True, text=True, check=True)
+    outside = round(float(proc.stdout), 1)
+    total = json.loads(out.read_text())["timings"]["total_rss_mb"]
+    # the CLI only serializes and writes the certificate after `certify` returns
+    assert total <= outside <= total + 1
 
 
 def test_certificate_json_serializable(cert1, cert2):
@@ -243,6 +268,16 @@ def _assert_layout(cert):
     assert set(cert["blocks"]) == BLOCKS
     for name, block in cert["blocks"].items():
         assert ("pass" in block) != ("skipped" in block), name
+    _assert_ledger(cert["timings"])
+
+
+def _assert_ledger(timings):
+    """Each stage that ran has its wall time and peak RSS, and the peaks, a
+    high-water mark, never fall in STAGES order or past the total."""
+    ran = [name for name, *_ in certify_mod.STAGES if f"{name}_s" in timings]
+    assert set(timings) == {name + key for name in [*ran, "total"] for key in ("_s", "_rss_mb")}
+    peaks = [timings[f"{name}_rss_mb"] for name in [*ran, "total"]]
+    assert peaks == sorted(peaks) and peaks[0] > 0
 
 
 def test_every_certificate_has_every_block(cert1, cert2, cert_h3_cli, monkeypatch, tmp_path):

@@ -91,6 +91,9 @@ def test_usage_errors(monkeypatch, capsys):
         assert capsys.readouterr().err == "--h must be an integer in 1..6\n"
     assert main(["export", "--h", "1", "--format", "graph6", "--classes", "a,b"]) == 2
     assert capsys.readouterr().err == "--classes must name classes in 1..3\n"
+    for fmt in ("csv", "json"):  # only graph6 reads --classes
+        assert main(["export", "--h", "2", "--format", fmt, "--classes", "1,3"]) == 2
+        assert capsys.readouterr().err == "--classes works only with --format graph6\n"
 
 
 def test_certify_h4_needs_no_depth_or_seed(monkeypatch, tmp_path):
@@ -145,6 +148,9 @@ def test_export_graph6_matches_networkx(tmp_path):
     A = nx.to_numpy_array(G, dtype=bool, nodelist=sorted(G.nodes()))
     assert graph6_bytes(A) == nx.to_graph6_bytes(G, nodes=sorted(G.nodes()),
                                                  header=False)
+    default = tmp_path / "default.g6"  # graph6 merges classes 1,2 unless told otherwise
+    assert main(["export", "--h", "2", "--format", "graph6", "--out", str(default)]) == 0
+    assert default.read_bytes() == out.read_bytes()
 
 
 def test_export_k6(tmp_path):

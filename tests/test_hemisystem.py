@@ -410,6 +410,23 @@ def test_factorization_sweep(pw_bundle_2):
     assert pw_bundle_2["shift_failure"] is None
 
 
+@pytest.mark.parametrize("key", ["x", "xq", "y", "yq", "z", "zq", "tr"])
+def test_klein_identities_read_every_coordinate(ctx2, key):
+    """One flipped bit in the first or the last entry of any Klein coordinate
+    array breaks the radical factorization, the pairing shift, or the class
+    (both pairings vanish): a sweep that never read the entry would pass."""
+    n = len(hs.klein_arrays(ctx2)["x"])
+    for idx in (0, n - 1):
+        A = {k: v.copy() for k, v in hs.klein_arrays(ctx2).items()}
+        A[key][idx] ^= 1
+        try:
+            failures = [f for si, ti in conic.pair_chunks(n)
+                        for f in hs.klein_classify_pairs(ctx2, A, si, ti)[1:]]
+        except StructureError:
+            continue
+        assert any(f is not None for f in failures), (key, idx)
+
+
 @pytest.mark.parametrize("kernel, bound", [("classify_pairs", 8), ("klein_classify_pairs", 10)])
 def test_sweep_kernel_peak_memory(ctx3, kernel, bound):
     """Peak allocation of one kernel call on the first h = 3 block, in
