@@ -41,6 +41,8 @@ wall time `<stage>_s` and the process's peak RSS after it `<stage>_rss_mb`,
 and `total_s`, `total_rss_mb`.  The peak is `ru_maxrss` of the POSIX
 `resource` module, in KB on Linux, the only platform CI and the benchmark
 run on; a high-water mark, so a stage's own peak shows as the step it adds.
+Linux carries it across exec, so `<stage>_rss_mb` includes the peak of the
+process that started `hxpw certify`; CI and `bench/stages.py` use small ones.
 """
 
 from __future__ import annotations

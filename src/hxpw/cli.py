@@ -30,7 +30,7 @@ from .conic import pair_reps
 from .fields import tower
 
 FAMILIES = ("hx", "pw", "fine")
-MAX_H = 6  # a tower holds Python lists of 2^(4h) entries
+MAX_H = 6  # a tower's tables take about 30 bytes per field element, 0.5 GB at h = 6
 
 
 # ---------------------------------------------------------------------------

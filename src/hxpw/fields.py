@@ -16,12 +16,11 @@ by trial division.  Each tower also carries a distinguished element
 GF(q^2)-basis of GF(q^4) and pins down every construction that needs a
 fixed basis choice.
 
-Scalar multiplication and inversion run on log/exp tables over
-``generator``, the smallest g = 2, 3, ... whose powers first return to 1
-after exactly q^4 - 1 steps; that one walk proves g primitive and is the
-exp table.  The test suite checks inversion against the extended Euclidean
-algorithm, and the bulk numpy operations, which use the same tables,
-against the scalar route.
+Scalar and bulk operations read one set of numpy log/exp tables over
+``generator``, the smallest g = 2, 3, ... whose first q^4 - 1 powers hold
+every nonzero element; exp is built by doubling, each block the one before
+times a power of g.  The tests check the tables against a scalar power
+walk, and inversion against the extended Euclidean algorithm.
 
 The package's one exact Gauss-Jordan elimination (`rref_rows`, `nullspace`)
 runs over any field object with ``zero``, ``one``, ``inv``, ``mul`` and
@@ -74,8 +73,6 @@ def is_irreducible(p: int) -> bool:
     d = poly_degree(p)
     if d < 1:
         return False
-    if d == 1:
-        return True
     for f in range(2, 1 << (d // 2 + 1)):
         if polymod(p, f) == 0:
             return False
@@ -124,14 +121,13 @@ class FieldTower:
 
         self._build_tables()
 
-        # omega: smallest solution of X^(q^2) + X = 1 in the ambient field.
-        arr = np.arange(self.size, dtype=np.int64)
-        sol = arr[(self.frob_arr(arr, 2 * h) ^ arr) == 1]
-        if sol.size == 0:
-            raise RuntimeError("no omega with omega^(q^2) = omega + 1")  # unreachable
-        self.omega = int(sol.min())
-        if self.in_subfield(self.omega, 2 * h):
-            raise RuntimeError("omega landed in GF(q^2)")  # contradicts its equation
+        # omega: smallest solution of X^(q^2) + X = 1, searched in blocks of 2^16
+        for start in range(0, self.size, 1 << 16):
+            arr = np.arange(start, min(start + (1 << 16), self.size), dtype=np.int64)
+            sol = arr[(self.frob_arr(arr, 2 * h) ^ arr) == 1]
+            if sol.size:
+                break
+        self.omega = int(sol[0])  # x + x^(q^2) maps onto GF(q^2), so sol is never empty
 
         self._subfields: dict[int, tuple[int, ...]] = {}
 
@@ -143,26 +139,27 @@ class FieldTower:
     def _build_tables(self) -> None:
         n1 = self.size - 1
         for g in range(2, self.size):
-            exp, v = [1], g
-            while v != 1 and len(exp) < n1:  # a zero divisor's powers never return to 1
-                exp.append(v)
-                v = polymod(clmul(v, g), self.modulus)
-            if v == 1 and len(exp) == n1:
+            # exp is doubled so log sums need no %; log[0] = 2 n1 sends every sum or
+            # difference with it into the zero padding, so mul and div need no zero test.
+            exp = np.zeros(4 * n1 + 1, dtype=np.int64)
+            exp[0], k, gk = 1, 1, g
+            while k < n1:  # exp[k:2k] = exp[:k] * g^k, Horner over the bits of g^k
+                p = exp[k:min(2 * k, n1)]
+                for i in reversed(range(gk.bit_length())):
+                    p <<= 1
+                    p ^= (p >> self.degree) * self.modulus
+                    if gk >> i & 1:
+                        p ^= exp[:p.size]
+                k, gk = 2 * k, polymod(clmul(gk, gk), self.modulus)
+            log = np.full(self.size, 2 * n1, dtype=np.int32)
+            log[exp[:n1]] = np.arange(n1, dtype=np.int32)
+            if np.array_equal(np.flatnonzero(log == 2 * n1), [0]):  # only 0 unhit: g primitive
                 break
         else:
             raise RuntimeError("no multiplicative generator found")
         self.generator = g
-        # exp is doubled so log sums need no %, and log[0] is the sentinel 2 n1:
-        # a log sum or difference involving it indexes the zero padding of exp,
-        # so mul and div need no zero test.
-        self._exp = exp + exp + [0] * (2 * n1 + 1)
-        self._exp_np = np.array(self._exp, dtype=np.int64)
-        self._log_np = np.full(self.size, 2 * n1, dtype=np.int32)
-        self._log_np[exp] = np.arange(n1, dtype=np.int32)
-        self._log = self._log_np.tolist()
-        sqr = np.arange(self.size, dtype=np.int64)
-        self._sqr_np = self.mul_arr(sqr, sqr)
-        self._sqr = self._sqr_np.tolist()
+        exp[n1:2 * n1] = exp[:n1]
+        self._exp_table, self._log_table, self._sqr_table = exp, log, exp[2 * log]
 
     # -- scalar operations ---------------------------------------------------
 
@@ -174,7 +171,7 @@ class FieldTower:
     def mul(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)
-        return self._exp[self._log[a] + self._log[b]]
+        return int(self._exp_table[self._log_table[a] + self._log_table[b]])
 
     def sub(self, a: int, b: int) -> int:
         return a ^ b  # characteristic 2: a - b = a + b
@@ -184,20 +181,20 @@ class FieldTower:
         self.check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self._exp[self.size - 1 - self._log[a]]
+        return int(self._exp_table[self.size - 1 - self._log_table[a]])
 
     def div(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)
         if b == 0:
             raise ZeroDivisionError("division by 0")
-        return self._exp[self._log[a] - self._log[b] + self.size - 1]
+        return int(self._exp_table[self._log_table[a] - self._log_table[b] + self.size - 1])
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^(2^k); k is reduced mod 4h.  frobenius(a, h) is a -> a^q."""
         self.check(a)
         for _ in range(k % self.degree):
-            a = self._sqr[a]
+            a = int(self._sqr_table[a])
         return a
 
     def frob_q(self, a: int) -> int:
@@ -219,9 +216,9 @@ class FieldTower:
         """All 2^m elements of GF(2^m) in ascending encoding order."""
         if self.degree % m:
             raise ValueError(f"GF(2^{m}) is not a subfield of GF(2^{self.degree})")
-        if m not in self._subfields:
-            arr = np.arange(self.size, dtype=np.int64)
-            fixed = arr[self.frob_arr(arr, m) == arr]
+        if m not in self._subfields:  # GF(2^m)* = <g^s>, s = (q^4 - 1) / (2^m - 1)
+            n1 = self.size - 1
+            fixed = np.sort(np.append(self._exp_table[:n1:n1 // ((1 << m) - 1)], 0))
             if fixed.size != 1 << m:
                 raise RuntimeError(f"subfield GF(2^{m}) has wrong size {fixed.size}")
             self._subfields[m] = tuple(int(x) for x in fixed)
@@ -235,7 +232,7 @@ class FieldTower:
         x = a
         for _ in range(m):
             t ^= x
-            x = self._sqr[x]
+            x = int(self._sqr_table[x])
         return t
 
     # -- bulk operations on numpy int arrays ----------------------------------
@@ -243,25 +240,25 @@ class FieldTower:
     def mul_arr(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        return self._exp_np[self._log_np[a] + self._log_np[b]]
+        return self._exp_table[self._log_table[a] + self._log_table[b]]
 
     def inv_arr(self, a):
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of 0 in bulk operand")
-        return self._exp_np[(self.size - 1) - self._log_np[a]]
+        return self._exp_table[(self.size - 1) - self._log_table[a]]
 
     def div_arr(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if np.any(b == 0):
             raise ZeroDivisionError("division by 0 in bulk operand")
-        return self._exp_np[self._log_np[a] - self._log_np[b] + (self.size - 1)]
+        return self._exp_table[self._log_table[a] - self._log_table[b] + (self.size - 1)]
 
     def frob_arr(self, a, k: int = 1):
         a = np.asarray(a, dtype=np.int64)
         for _ in range(k % self.degree):
-            a = self._sqr_np[a]
+            a = self._sqr_table[a]
         return a
 
 

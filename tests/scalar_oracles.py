@@ -1,9 +1,10 @@
 """Scalar oracles of the bulk checks.
 
-The first helpers are the scalar definitions the bulk code is tested
-against: the fine label of a pair, the symplectic form on pattern vectors,
-the rational points spanning m_t, the involution tau and the orbit of a
-pair under Moebius maps.  Then come the planar definitions behind the
+`power_walk` is the reference of `FieldTower`'s log/exp tables.  The next
+helpers are the scalar definitions the bulk code is tested against: the
+fine label of a pair, the symplectic form on pattern vectors, the rational
+points spanning m_t, the involution tau and the orbit of a pair under
+Moebius maps.  Then come the planar definitions behind the
 `passants` block: every point of a projective space, the conic, the line
 of a pair by row reduction and the passant census by enumeration.  The rest
 enumerate what the bulk `line_census` and `klein_images` count: every
@@ -27,6 +28,20 @@ import numpy as np
 from hxpw import conic
 from hxpw import geometry as g
 from hxpw import hemisystem as hs
+from hxpw.fields import clmul, polymod
+
+
+def power_walk(modulus, size):
+    """(g, [g^0, ..., g^(size - 2)]) for the smallest g = 2, 3, ... whose powers
+    first return to 1 after exactly size - 1 steps, walked one product at a time."""
+    for gen in range(2, size):
+        exp, v = [1], gen
+        while v != 1 and len(exp) < size - 1:  # a zero divisor's powers never return to 1
+            exp.append(v)
+            v = polymod(clmul(v, gen), modulus)
+        if v == 1 and len(exp) == size - 1:
+            return gen, exp
+    raise RuntimeError("no multiplicative generator found")
 
 
 def fine_label(ctx, s, t):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hxpw import fields
 from hxpw.fields import (FieldTower, clmul, is_irreducible, nullspace, polymod,
                          rref_rows, smallest_irreducible, tower)
 from hxpw.schemes import _frac_inverse, _Rationals
+from scalar_oracles import power_walk
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +152,45 @@ def test_generator_is_smallest_primitive_element():
     assert gens == [2, 3, 3, 3]
 
 
+# sha256 of exp[:q^4 - 1] as <i8 and of log as <i4, pinned from the scalar walk
+TABLE_DIGESTS = {
+    4: ("a9c0b9735a82fc72c5287527e2930d5f0603c0dae1bd9c70ade1fc1578a1d84d",
+        "aa194579043b126ca61765a52a6d9f5bd71ef9f12fa58cd70331362397778a3c"),
+    5: ("d9bbf13f33c1e260b790f9f421b476acf69614250c250c8fc849abd27eb5c2fb",
+        "eec756b96c3636051087afb217280e313f34367d47f5ebf2aca2514f170268bd"),
+}
+
+
+def test_tables_match_power_walk():
+    for h in (1, 2, 3):
+        ctx = tower(h)
+        n1 = ctx.size - 1
+        gen, exp = power_walk(ctx.modulus, ctx.size)
+        log = [2 * n1] * ctx.size
+        for i, x in enumerate(exp):
+            log[x] = i
+        assert ctx.generator == gen
+        assert ctx._exp_table.tolist() == exp + exp + [0] * (2 * n1 + 1)
+        assert ctx._log_table.tolist() == log
+        assert ctx._sqr_table.tolist() == [polymod(clmul(x, x), ctx.modulus)
+                                           for x in range(ctx.size)]
+    gens, omegas = [], []
+    for h in (1, 2, 3, 4, 5):
+        ctx = tower(h) if h < 5 else FieldTower(5)  # h = 5 is not kept in the cache
+        assert (ctx._exp_table.dtype, ctx._log_table.dtype, ctx._sqr_table.dtype) == (
+            np.int64, np.int32, np.int64)
+        assert ctx.mul_arr([2, 3], [3, 0]).dtype == np.int64
+        if h in TABLE_DIGESTS:
+            exp = ctx._exp_table[:ctx.size - 1].astype("<i8").tobytes()
+            log = ctx._log_table.astype("<i4").tobytes()
+            assert (hashlib.sha256(exp).hexdigest(),
+                    hashlib.sha256(log).hexdigest()) == TABLE_DIGESTS[h]
+        gens.append(ctx.generator)
+        omegas.append(ctx.omega)
+    assert gens == [2, 3, 3, 3, 2]
+    assert omegas == [2, 18, 8, 620, 720]
+
+
 def test_reducible_modulus_finds_no_generator(monkeypatch):
     # X^4 + 1 = (X + 1)^4: units have order dividing 8, zero divisors never return to 1
     monkeypatch.setattr(fields, "smallest_irreducible", lambda degree: 0b10001)
@@ -258,6 +299,15 @@ def test_subfield_sizes_and_lattice():
         assert len(s1) == ctx.q and len(s2) == ctx.q2 and len(s4) == ctx.q4
         assert s1 < s2 < s4
         assert list(ctx.subfield(h)) == sorted(ctx.subfield(h))
+
+
+def test_subfield_is_the_frobenius_fixed_set():
+    for h in (1, 2, 3, 4):
+        ctx = tower(h)
+        for m in range(1, 4 * h + 1):
+            if 4 * h % m == 0:
+                fixed = tuple(x for x in range(ctx.size) if ctx.frobenius(x, m) == x)
+                assert ctx.subfield(m) == fixed
 
 
 def test_subfield_gf4_inside_gf256():
