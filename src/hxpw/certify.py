@@ -37,18 +37,19 @@ generator, point or P row in `first_discrepancy`.
 Nothing in a certificate is sampled: it is a deterministic function of h,
 in the format `hxpw-certificate/7`.  Two runs produce byte-identical
 canonical JSON, and `canonical_hash` excludes only `timings`: each stage's
-wall time `<stage>_s` and the process's peak RSS after it `<stage>_rss_mb`,
-and `total_s`, `total_rss_mb`.  The peak is `ru_maxrss` of the POSIX
-`resource` module, in KB on Linux, the only platform CI and the benchmark
-run on; a high-water mark, so a stage's own peak shows as the step it adds.
-Linux carries it across exec, so `<stage>_rss_mb` includes the peak of the
-process that started `hxpw certify`; CI and `bench/stages.py` use small ones.
+wall time `<stage>_s` and peak RSS after it `<stage>_rss_mb`, `total_s`,
+`total_rss_mb` and `sweep_workers`.  The peak is `ru_maxrss`, of the process
+or of its reaped sweep workers if larger, in KB on Linux, the only platform
+CI and the benchmark run on; a high-water mark, so a stage's own peak shows
+as the step it adds.  Linux carries it across exec, so it includes the peak
+of the process that started `hxpw certify`; CI and `bench/stages.py` use small ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import resource
 import time
 from types import SimpleNamespace
@@ -80,17 +81,30 @@ def canonical_hash(cert: dict) -> str:
 
 
 def _peak_rss_mb():
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return round(max(resource.getrusage(who).ru_maxrss for who in (
+        resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024, 1)
 
 
 def certify(h: int) -> dict:
-    """Run every stage of `STAGES` and return the certificate dict."""
+    """Run every stage of `STAGES` and return the certificate dict.
+
+    The `routes` sweep runs in contiguous row ranges of near-equal pair
+    counts, the first in this process and each other in a forked worker,
+    merged in row order, so the certificate is the same for any split.  One
+    range per CPU this process may run on (`os.sched_getaffinity`, which
+    `taskset` caps), but no more than the sweep's PAIR_CHUNK blocks: h <= 2
+    never forks.
+    """
     t_start = time.perf_counter()
     ctx = tower(h)
+    n = len(pair_reps(ctx))
+    # the CPUs this process may run on; os.sched_getaffinity exists on Linux only
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     blocks, timings, witness = {}, {}, None
     # what the stages share; the stages fill in the fields that start as None
     st = SimpleNamespace(ctx=ctx, blocks=blocks, hx=None, lines=None, tau=None, S=None,
-                         analytics=None, degenerate=False)
+                         analytics=None, degenerate=False,
+                         workers=min(cpus, len(range(0, n - 1, max(1, conic.PAIR_CHUNK // n)))))
     for name, names, skip, run in STAGES:
         reason = "routes failed" if blocks.get("routes", {}).get("pass") is False else skip(h)
         if reason:
@@ -116,7 +130,7 @@ def certify(h: int) -> dict:
     cert = {
         "format": "hxpw-certificate/7",
         "header": {
-            "version": VERSION, "h": h, "q": ctx.q, "n": len(pair_reps(ctx)),
+            "version": VERSION, "h": h, "q": ctx.q, "n": n,
             "modulus_hex": hex(ctx.modulus), "omega": ctx.omega,
         },
         "blocks": blocks,
@@ -132,6 +146,7 @@ def certify(h: int) -> dict:
     }
     timings["total_s"] = round(time.perf_counter() - t_start, 3)
     timings["total_rss_mb"] = _peak_rss_mb()
+    timings["sweep_workers"] = st.workers
     cert["timings"] = timings
     cert["canonical_sha256"] = canonical_hash(cert)
     return cert
@@ -155,22 +170,24 @@ def _algebraic_routes(st):
 
     Up to TABLE_MAX_H the sweep reads the two tables, which later stages
     use; above it the pairs are classified block by block and no table is
-    built.
+    built, each row range tallying its own blocks.
     """
-    ctx = st.ctx
+    ctx, workers = st.ctx, st.workers
     try:
         if ctx.h > TABLE_MAX_H:
-            chunks = _classified_chunks(ctx)
+            tallies = conic.sweep_rows(len(pair_reps(ctx)), workers, lambda lo, hi: (
+                _route_tally(ctx, _classified_chunks(ctx, lo, hi))))
         else:
             # the Klein sweep, the larger of the two, runs first, so that the
             # hx table and fine table are not held through it
-            pw = hemisystem.klein_table_bundle(ctx)
-            hx = st.hx = conic.table_bundle(ctx)
+            pw = hemisystem.klein_table_bundle(ctx, workers)
+            hx = st.hx = conic.table_bundle(ctx, workers)
             failures = (hx["closed_form_failure"], pw["factorization_failure"],
                         pw["shift_failure"])
-            chunks = ((si, ti, hx["table"][si, ti], pw["table"][si, ti], *failures)
-                      for si, ti in conic.pair_chunks(len(hx["table"])))
-        routes, identities = _route_blocks(ctx, chunks)
+            tallies = [_route_tally(ctx, (
+                (si, ti, hx["table"][si, ti], pw["table"][si, ti], *failures)
+                for si, ti in conic.pair_chunks(len(hx["table"]))))]
+        routes, identities = _route_blocks(ctx, tallies)
     except (ClassificationError, StructureError) as exc:
         table = "conic_table" if isinstance(exc, ClassificationError) else "klein_table"
         return {"identities": {"skipped": "routes failed"},
@@ -376,18 +393,18 @@ def _fine_block(ctx, hx):
     return out
 
 
-def _classified_chunks(ctx):
-    """Row blocks classified by both routes, for _route_blocks; no table is built."""
+def _classified_chunks(ctx, lo=0, hi=None):
+    """Row blocks of rows lo..hi - 1 classified by both routes; no table is built."""
     A = hemisystem.klein_arrays(ctx)
-    for si, ti in conic.pair_chunks(len(pair_reps(ctx))):
+    for si, ti in conic.pair_chunks(len(pair_reps(ctx)), lo, hi):
         # the fine keys are dropped here, not held through the Klein sweep
         cls_hx, closed = conic.classify_pairs(ctx, si, ti)[::2]
         cls_kl, fact, shift = hemisystem.klein_classify_pairs(ctx, A, si, ti)
         yield si, ti, cls_hx, cls_kl, closed, fact, shift
 
 
-def _route_blocks(ctx, chunks):
-    """The `routes` and `identities` blocks from one pass over every pair.
+def _route_tally(ctx, chunks):
+    """(confusion counts, pairs, first identity failures, first discrepancy) of `chunks`.
 
     `chunks` yields (si, ti, class_hx, class_klein, *failures) per block of
     pairs i < j, in row order, with failures[m] the first pair where
@@ -406,6 +423,15 @@ def _route_blocks(ctx, chunks):
             k = int(np.argmax(a != b))
             first = _discrepancy(ctx, int(si[k]), int(ti[k]), int(a[k]), int(b[k]))
         del si, ti, a, b  # not held while the next block is classified
+    return confusion, pairs, failures, first
+
+
+def _route_blocks(ctx, tallies):
+    """The `routes` and `identities` blocks from the `_route_tally` of each
+    row range, in row order, so that they are those of one pass."""
+    confusion, pairs = sum(t[0] for t in tallies), sum(t[1] for t in tallies)
+    failures = [next(filter(None, fails), None) for fails in zip(*(t[2] for t in tallies))]
+    first = next(filter(None, (t[3] for t in tallies)), None)
     identities = {"pass": not any(failures), "pairs_swept": pairs,
                   **{f"{name}_ok": f is None for name, f in zip(IDENTITIES, failures)}}
     for name, pair in zip(IDENTITIES, failures):

@@ -9,8 +9,10 @@ on `--h` alone.
 There is no `--threads`: the counting products run on numpy's BLAS, whose
 pool the environment sizes.  `OPENBLAS_NUM_THREADS=1` caps it at one
 thread, which also avoids a sporadic stall of the h = 2 `fine` stage;
-results are independent of it.  Everything else is single-threaded numpy
-and exact arithmetic.  `--h` above 6 is a usage error, and so is
+results are independent of it.  `certify` also forks one pair-sweep worker
+per CPU it may run on (`taskset` caps them), each with its own single-threaded
+numpy; `build` and `export` sweep in one process.  The rest is exact
+arithmetic.  `--h` above 6 is a usage error, and so is
 `export --classes` with any format but graph6.  `certify --depth` is still
 accepted, and says on stderr that it is ignored.  The certificate's
 `timings` carry each stage's peak RSS in MB, from `ru_maxrss` in KB (Linux).

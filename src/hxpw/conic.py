@@ -20,7 +20,7 @@ there, any occurrence is reported as a hard failure, never guessed around.
 
 `classify_pairs` is the one bulk evaluation of that chain, on a row block
 of `pair_chunks`; `table_bundle` scatters the blocks into n x n tables and
-`certify` reduces them without tables where those are too large.
+`certify` reduces them without tables, each over row ranges (`sweep_rows`).
 
 The pairs are also the passants of the conic {(1, c, c^2)} u {(0, 0, 1)}
 of PG(2, q^2): `passants` checks in bulk that the line joining the two
@@ -29,6 +29,9 @@ points of each pair is one, and that every passant is reached once.
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
 from functools import lru_cache
 
 import numpy as np
@@ -138,8 +141,8 @@ def pair_arrays(ctx):
     return reps, conj
 
 
-def pair_chunks(n):
-    """(si, ti) index arrays of the pairs i < j of range(n), in row order.
+def pair_chunks(n, lo=0, hi=None):
+    """(si, ti) index arrays of the pairs i < j of range(n), lo <= i < hi, in row order.
 
     Each block covers whole rows, at most PAIR_CHUNK candidates (or one row).
     Across the yield the generator holds only the two index arrays it
@@ -147,10 +150,72 @@ def pair_chunks(n):
     dropped and the row offset is added in place.
     """
     rows = max(1, PAIR_CHUNK // n)
-    for r0 in range(0, n - 1, rows):
-        si, ti = np.nonzero(np.triu(np.ones((min(rows, n - r0), n), dtype=bool), r0 + 1))
+    end = n - 1 if hi is None else min(hi, n - 1)
+    for r0 in range(lo, end, rows):
+        si, ti = np.nonzero(np.triu(np.ones((min(rows, end - r0), n), dtype=bool), r0 + 1))
         si += r0
         yield si, ti
+
+
+def split_rows(n, parts):
+    """Boundaries [0, b_1, ..., n] of `parts` contiguous row ranges of the
+    pairs i < j of range(n): b_k is the row boundary nearest to k/parts of
+    the pairs, so each range holds its share to within one row's pairs."""
+    before = np.cumsum(np.arange(n, -1, -1)) - n  # pairs in rows 0..r-1, r = 0..n
+    share = before[-1] * np.arange(1, parts) / parts
+    b = np.searchsorted(before, share)
+    b -= share - before[b - 1] < before[b] - share
+    return [0, *b.tolist(), n]
+
+
+def shared_zeros(n, dtype, shared):
+    """An n x n np.zeros, or with `shared` one in a MAP_SHARED anonymous map
+    that forked sweep workers write into."""
+    if not shared:
+        return np.zeros((n, n), dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, n * n * np.dtype(dtype).itemsize), dtype).reshape(n, n)
+
+
+def sweep_rows(n, workers, sweep):
+    """[sweep(lo, hi) for each range of split_rows(n, workers)], in row order.
+
+    This process sweeps range 0 and an os.fork() child each later one; a
+    child writes its table rows into `shared_zeros` maps, pipes back its
+    pickled result or exception and leaves through os._exit.  Every child is
+    waited for on every path.  Exceptions re-raise in range order; a child
+    that sends nothing raises RuntimeError naming its rows.
+    """
+    bounds, outs, children = split_rows(n, workers), [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            if not (pid := os.fork()):  # the child: never returns into the caller's stack
+                try:
+                    os.close(r)
+                    try:
+                        out = sweep(lo, hi)
+                    except Exception as exc:
+                        out = exc
+                    with open(w, "wb") as f:
+                        pickle.dump(out, f)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r, f"the sweep worker of rows {lo}..{hi - 1}"))
+        outs.append(sweep(bounds[0], bounds[1]))
+    finally:
+        for pid, r, worker in children:
+            with open(r, "rb") as f:
+                data = f.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            try:
+                outs.append(pickle.loads(data))
+            except Exception:
+                outs.append(RuntimeError(f"{worker} sent no result (exit code {code})"))
+    for out in outs:
+        if isinstance(out, Exception):
+            raise out
+    return outs
 
 
 def rho_of_pairs(ctx, si, ti):
@@ -215,8 +280,8 @@ def classify_pairs(ctx, si, ti):
     return cls, key, closed_form_failure
 
 
-def table_bundle(ctx):
-    """The n x n class tables from one chunked sweep of classify_pairs.
+def table_bundle(ctx, workers=1):
+    """The n x n class tables from a chunked sweep of classify_pairs in `workers` row ranges.
 
     Returns a dict with the int8 class `table`, the `fine_table` in the
     smallest unsigned type that holds its labels (one byte at h <= 3; fine
@@ -225,15 +290,24 @@ def table_bundle(ctx):
     the first pair where the closed form fails, or None.
     """
     n = len(pair_reps(ctx))
-    table = np.zeros((n, n), dtype=np.int8)
-    keys = np.zeros((n, n), dtype=np.min_scalar_type(ctx.size - 1))
-    coarse_of_key = np.zeros(ctx.size, dtype=np.int8)  # 0: key absent
-    failure = None
-    for si, ti in pair_chunks(n):
-        cls, key, closed = classify_pairs(ctx, si, ti)
-        table[si, ti] = table[ti, si] = cls
-        keys[si, ti] = keys[ti, si] = key
-        coarse_of_key[key] = cls
+    table = shared_zeros(n, np.int8, workers > 1)
+    keys = shared_zeros(n, np.min_scalar_type(ctx.size - 1), workers > 1)
+
+    def sweep(lo, hi):
+        coarse_of_key = np.zeros(ctx.size, dtype=np.int8)  # 0: key absent
+        failure = None
+        for si, ti in pair_chunks(n, lo, hi):
+            cls, key, closed = classify_pairs(ctx, si, ti)
+            table[si, ti] = table[ti, si] = cls
+            keys[si, ti] = keys[ti, si] = key
+            coarse_of_key[key] = cls
+            failure = failure or closed
+        return coarse_of_key, failure
+
+    parts = sweep_rows(n, workers, sweep)
+    coarse_of_key, failure = parts[0]
+    for part, closed in parts[1:]:  # a later row's write wins, as in one sweep
+        np.copyto(coarse_of_key, part, where=part != 0)
         failure = failure or closed
     labels = np.flatnonzero(coarse_of_key)
     lut = np.zeros(ctx.size, dtype=np.min_scalar_type(labels.size))

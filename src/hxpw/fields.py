@@ -171,7 +171,7 @@ class FieldTower:
     def mul(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)
-        return int(self._exp_table[self._log_table[a] + self._log_table[b]])
+        return self._exp_table.item(self._log_table.item(a) + self._log_table.item(b))
 
     def sub(self, a: int, b: int) -> int:
         return a ^ b  # characteristic 2: a - b = a + b
@@ -181,20 +181,21 @@ class FieldTower:
         self.check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        return int(self._exp_table[self.size - 1 - self._log_table[a]])
+        return self._exp_table.item(self.size - 1 - self._log_table.item(a))
 
     def div(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)
         if b == 0:
             raise ZeroDivisionError("division by 0")
-        return int(self._exp_table[self._log_table[a] - self._log_table[b] + self.size - 1])
+        log = self._log_table
+        return self._exp_table.item(log.item(a) - log.item(b) + self.size - 1)
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^(2^k); k is reduced mod 4h.  frobenius(a, h) is a -> a^q."""
         self.check(a)
         for _ in range(k % self.degree):
-            a = int(self._sqr_table[a])
+            a = self._sqr_table.item(a)
         return a
 
     def frob_q(self, a: int) -> int:
@@ -232,7 +233,7 @@ class FieldTower:
         x = a
         for _ in range(m):
             t ^= x
-            x = int(self._sqr_table[x])
+            x = self._sqr_table.item(x)
         return t
 
     # -- bulk operations on numpy int arrays ----------------------------------

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .conic import first_pair, pair_arrays, pair_chunks, pair_reps
+from .conic import first_pair, pair_arrays, pair_chunks, pair_reps, shared_zeros, sweep_rows
 from .schemes import WALK_ROWS
 
 INF = "inf"  # projective-line point at infinity
@@ -368,17 +368,24 @@ def klein_classify_pairs(ctx, A, si, ti):
     return cls, first_pair(si, ti, rad != 0), shift_failure
 
 
-def klein_table_bundle(ctx):
+def klein_table_bundle(ctx, workers=1):
     """Dict of the n x n Klein-route `table` and the first pairs where the
     factorization and the shift fail, `factorization_failure` and
-    `shift_failure`, or None."""
+    `shift_failure`, or None, from a sweep in `workers` row ranges."""
     A = klein_arrays(ctx)
     n = A["x"].shape[0]
-    table = np.zeros((n, n), dtype=np.int8)
+    table = shared_zeros(n, np.int8, workers > 1)
+
+    def sweep(lo, hi):
+        fact_failure = shift_failure = None
+        for si, ti in pair_chunks(n, lo, hi):
+            cls, fact, shift = klein_classify_pairs(ctx, A, si, ti)
+            table[si, ti] = table[ti, si] = cls
+            fact_failure, shift_failure = fact_failure or fact, shift_failure or shift
+        return fact_failure, shift_failure
+
     fact_failure = shift_failure = None
-    for si, ti in pair_chunks(n):
-        cls, fact, shift = klein_classify_pairs(ctx, A, si, ti)
-        table[si, ti] = table[ti, si] = cls
+    for fact, shift in sweep_rows(n, workers, sweep):  # in row order
         fact_failure, shift_failure = fact_failure or fact, shift_failure or shift
     return {"table": table, "factorization_failure": fact_failure,
             "shift_failure": shift_failure}

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 
@@ -121,25 +122,48 @@ def test_canonical_hash_ignores_timings(cert2):
     assert canonical_hash(mutated) == canonical_hash(cert2)
 
 
-# Starts `certify --h 2` and prints the kernel's ru_maxrss of it, in MB.  It
-# runs in a launcher without numpy, since on Linux a child's ru_maxrss starts
-# from its parent's RSS at spawn, and the test process is far larger.
+# Starts `certify --h H` and prints the kernel's ru_maxrss of it, in MB, which
+# covers the sweep workers it reaped.  It runs in a launcher without numpy,
+# since on Linux a child's ru_maxrss starts from its parent's RSS at spawn,
+# and the test process is far larger.
 WAIT4_LAUNCHER = """
 import os, subprocess, sys
-child = subprocess.Popen([sys.executable, "-m", "hxpw", "certify", "--h", "2",
+child = subprocess.Popen([sys.executable, "-m", "hxpw", "certify", "--h", sys.argv[2],
                           "--out", sys.argv[1]])
 print(os.wait4(child.pid, 0)[2].ru_maxrss / 1024)
 """
 
 
-def test_self_reported_peak_matches_wait4(tmp_path):
+@pytest.mark.parametrize("h", [2, 3])  # at h = 3 the sweep forks where there are 2 CPUs
+def test_self_reported_peak_matches_wait4(h, tmp_path):
     out = tmp_path / "cert.json"
-    proc = subprocess.run([sys.executable, "-c", WAIT4_LAUNCHER, str(out)],
+    proc = subprocess.run([sys.executable, "-c", WAIT4_LAUNCHER, str(out), str(h)],
                           capture_output=True, text=True, check=True)
     outside = round(float(proc.stdout), 1)
     total = json.loads(out.read_text())["timings"]["total_rss_mb"]
     # the CLI only serializes and writes the certificate after `certify` returns
     assert total <= outside <= total + 1
+
+
+# A sweep whose worker, and not the parent, touches 64 MB: the ledger's peak
+# must show it.  Prints the ledger's peak and the parent's own, in MB.  It is
+# started from a launcher without numpy, for the reason given at WAIT4_LAUNCHER.
+OUTGROWN = """
+import resource
+import numpy as np
+from hxpw import conic
+from hxpw.certify import _peak_rss_mb
+conic.sweep_rows(8, 2, lambda lo, hi: np.ones(64 << 20 if lo else 1, dtype=np.uint8).sum())
+print(_peak_rss_mb(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+LAUNCHER = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+
+
+def test_peak_covers_a_worker_that_outgrows_the_parent():
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, OUTGROWN], capture_output=True,
+                          text=True, check=True)
+    ledger, parent = map(float, proc.stdout.split())
+    assert ledger >= 64 > parent
 
 
 def test_certificate_json_serializable(cert1, cert2):
@@ -174,10 +198,12 @@ def test_golden_hashes(cert1, cert2, cert_h3_cli):
 # the table-free sweep that runs above TABLE_MAX_H
 
 def test_sweep_blocks_match_table_path(cert2, cert_h3_cli):
-    for h, cert in ((2, cert2), (3, cert_h3_cli["cert"])):
+    for h, cert, workers in ((2, cert2, 1), (3, cert_h3_cli["cert"], 1),
+                             (3, cert_h3_cli["cert"], 3)):
         ctx = tower(h)
-        routes, identities = certify_mod._route_blocks(
-            ctx, certify_mod._classified_chunks(ctx))
+        tallies = conic.sweep_rows(len(pair_reps(ctx)), workers, lambda lo, hi: (
+            certify_mod._route_tally(ctx, certify_mod._classified_chunks(ctx, lo, hi))))
+        routes, identities = certify_mod._route_blocks(ctx, tallies)
         assert identities == cert["blocks"]["identities"]
         table_routes = dict(cert["blocks"]["routes"], geometric=None)
         assert table_routes.pop("table_sha256") == hashlib.sha256(
@@ -275,7 +301,9 @@ def _assert_ledger(timings):
     """Each stage that ran has its wall time and peak RSS, and the peaks, a
     high-water mark, never fall in STAGES order or past the total."""
     ran = [name for name, *_ in certify_mod.STAGES if f"{name}_s" in timings]
-    assert set(timings) == {name + key for name in [*ran, "total"] for key in ("_s", "_rss_mb")}
+    assert set(timings) == {name + key for name in [*ran, "total"]
+                            for key in ("_s", "_rss_mb")} | {"sweep_workers"}
+    assert timings["sweep_workers"] >= 1
     peaks = [timings[f"{name}_rss_mb"] for name in [*ran, "total"]]
     assert peaks == sorted(peaks) and peaks[0] > 0
 
@@ -620,10 +648,10 @@ def _wrong_expected_p(monkeypatch):
 def _merged_fine_labels(monkeypatch):
     real = conic.table_bundle
 
-    def merged(ctx):
+    def merged(ctx, *args):
         """Fine label b joins label a of the same coarse class; the labels above
         b move down one."""
-        hx = real(ctx)
+        hx = real(ctx, *args)
         f2c = hx["fine_to_coarse"]
         a, b = next((a, b) for a in f2c for b in f2c if a < b and f2c[a] == f2c[b])
         fine = hx["fine_table"].copy()
@@ -732,3 +760,118 @@ def test_passant_fault_fails_the_block(check, monkeypatch, tmp_path, capsys):
     else:
         assert so.line_dual(ctx, so.pair_line(ctx, pair_reps(ctx)[0])) == \
             geometry.normalize_point(ctx, tuple(line))
+
+
+# ---------------------------------------------------------------------------
+# the sweep over row ranges in forked workers
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pinned_and_unpinned_h3_certificates_agree(cert_h3_cli, tmp_path):
+    out = tmp_path / "pinned.json"
+    cpu = min(os.sched_getaffinity(0))
+    proc = subprocess.run([sys.executable, "-m", "hxpw", "certify", "--h", "3", "--out", str(out)],
+                          capture_output=True, text=True,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert proc.returncode == 0, proc.stderr
+    pinned, unpinned = json.loads(out.read_text()), cert_h3_cli["cert"]
+    assert pinned["canonical_sha256"] == unpinned["canonical_sha256"]
+    assert canonical_json(pinned) == canonical_json(unpinned)
+    # h = 3 sweeps its 2,031,120 pairs in 63 PAIR_CHUNK blocks
+    assert pinned["timings"]["sweep_workers"] == 1
+    assert unpinned["timings"]["sweep_workers"] == min(len(os.sched_getaffinity(0)), 63)
+
+
+def test_forked_certify_leaves_no_child(cert_h3_cli, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cert = certify(3)
+    _assert_no_child_left()
+    assert cert["timings"]["sweep_workers"] == 2
+    assert cert["canonical_sha256"] == cert_h3_cli["cert"]["canonical_sha256"]
+
+
+def _split_h2(monkeypatch, cpus):
+    """h = 2 in 15 blocks of 8 rows, on `cpus` CPUs: the sweep gets up to two
+    workers, and row range 1 is rows 35..119.  Returns its first row."""
+    monkeypatch.setattr(conic, "PAIR_CHUNK", 1 << 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert conic.split_rows(120, 2) == [0, 35, 120]
+    return 35
+
+
+def _runs_with_one_and_two_workers(monkeypatch, tmp_path, capsys):
+    """[(exit code, certificate)] of the table path and the sweep at h = 2,
+    with one worker and then with two."""
+    runs, max_h = [], certify_mod.TABLE_MAX_H
+    for cpus in (1, 2):
+        _split_h2(monkeypatch, cpus)
+        monkeypatch.setattr(certify_mod, "TABLE_MAX_H", max_h)  # _both_paths lowers it
+        runs += _both_paths(monkeypatch, tmp_path, 2)
+    assert [cert["timings"]["sweep_workers"] for _, cert in runs] == [1, 1, 2, 2]
+    assert "Traceback" not in capsys.readouterr().err
+    _assert_no_child_left()
+    return runs
+
+
+@pytest.mark.parametrize("pairs", [[(60, 70), (40, 50)], [(60, 70), (20, 30)]])
+def test_identity_failing_in_a_worker_gives_the_first_pair(pairs, monkeypatch, tmp_path, capsys):
+    """The pairing shift is reported failing at two pairs in different
+    blocks: both in row range 1, or one in each range.  The certificate names
+    the earlier, as with one worker."""
+    real = hemisystem.klein_classify_pairs
+
+    def flagged(ctx, A, si, ti):
+        cls, fact, shift = real(ctx, A, si, ti)
+        hit = np.zeros(si.size, dtype=bool)
+        for i, j in pairs:
+            hit |= (si == i) & (ti == j)
+        return cls, fact, shift or conic.first_pair(si, ti, hit)
+
+    monkeypatch.setattr(hemisystem, "klein_classify_pairs", flagged)
+    runs = _runs_with_one_and_two_workers(monkeypatch, tmp_path, capsys)
+    i, j = min(pairs)
+    first = {"identity": "pairing_shift", "pair_indices": [i, j],
+             "reps": [pair_reps(tower(2))[i], pair_reps(tower(2))[j]]}
+    for code, cert in runs:
+        assert code == 1 and cert["witness"] == {"block": "identities", "first_discrepancy": first}
+    for (_, one), (_, two) in zip(runs[:2], runs[2:]):  # each path, with one and two workers
+        assert canonical_json(one) == canonical_json(two)
+
+
+def test_classification_error_in_a_worker_keeps_its_message(monkeypatch, tmp_path, capsys):
+    real = conic.rho_of_pairs
+
+    def rho_one(ctx, si, ti):
+        r = real(ctx, si, ti)
+        r[(si == 40) & (ti == 50)] = 1
+        return r
+
+    monkeypatch.setattr(conic, "rho_of_pairs", rho_one)
+    for code, cert in _runs_with_one_and_two_workers(monkeypatch, tmp_path, capsys):
+        assert code == 1 and cert["witness"]["block"] == "conic_table"
+        assert cert["blocks"]["routes"] == {
+            "pass": False, "error": "rho = 1 at pair indices (40, 50)"}
+
+
+def test_worker_that_dies_fails_routes_naming_its_rows(monkeypatch, tmp_path, capsys):
+    first = _split_h2(monkeypatch, 2)
+    real = hemisystem.klein_classify_pairs
+
+    def dies_in_range_1(ctx, A, si, ti):
+        if si[0] >= first:
+            os._exit(3)
+        return real(ctx, A, si, ti)
+
+    monkeypatch.setattr(hemisystem, "klein_classify_pairs", dies_in_range_1)
+    runs = _both_paths(monkeypatch, tmp_path, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    _assert_no_child_left()
+    error = "RuntimeError: the sweep worker of rows 35..119 sent no result (exit code 3)"
+    for code, cert in runs:
+        assert code == 1 and cert["verdict"] == "fail"
+        _assert_layout(cert)
+        assert cert["blocks"]["routes"] == {"pass": False, "error": error}
+        assert cert["blocks"]["orbit"] == {"skipped": "routes failed"}

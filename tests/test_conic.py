@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hxpw import conic, geometry
+from hxpw import conic, geometry, hemisystem
 from hxpw.conic import ClassificationError, classify, pair_reps, rho, rho_hat, trace_sets
 from hxpw.fields import tower
 
@@ -272,3 +272,64 @@ def test_bulk_matches_scalar_classification():
     for _ in range(400):
         i, j = rng.sample(range(len(reps)), 2)
         assert table[i, j] == classify(ctx, reps[i], reps[j])
+
+
+# ---------------------------------------------------------------------------
+# the sweep over row ranges
+
+@pytest.mark.parametrize("n", [15, 120, 2016, 32640])
+def test_split_rows_covers_every_row_with_balanced_pair_counts(n):
+    total = n * (n - 1) // 2
+    for parts in range(1, 9):
+        bounds = conic.split_rows(n, parts)
+        assert len(bounds) == parts + 1 and bounds[0] == 0 and bounds[-1] == n
+        assert bounds == sorted(bounds)  # contiguous ranges, in row order
+        counts = [sum(n - 1 - i for i in range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        assert sum(counts) == total
+        # each range holds its share to within one row's pairs, and with up
+        # to four ranges each is within one row's pairs of every other
+        assert all(abs(c - total / parts) <= n - 1 for c in counts), counts
+        if parts <= 4:
+            assert max(counts) - min(counts) <= n - 1, counts
+
+
+def test_pair_chunks_over_row_ranges_are_the_whole_sweep():
+    n = 120
+    whole = np.concatenate([np.stack(c) for c in conic.pair_chunks(n)], axis=1)
+    bounds = conic.split_rows(n, 3)
+    ranges = np.concatenate([np.stack(c) for lo, hi in zip(bounds, bounds[1:])
+                             for c in conic.pair_chunks(n, lo, hi)], axis=1)
+    assert np.array_equal(whole, ranges)
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_forked_bundles_equal_the_one_process_sweep(h):
+    ctx = tower(h)
+    hx, pw = conic.table_bundle(ctx), hemisystem.klein_table_bundle(ctx)
+    for workers in (2, 3):
+        hx_w, pw_w = conic.table_bundle(ctx, workers), hemisystem.klein_table_bundle(ctx, workers)
+        for key in ("table", "fine_table"):
+            assert hx_w[key].dtype == hx[key].dtype and np.array_equal(hx_w[key], hx[key])
+        assert hx_w["fine_to_coarse"] == hx["fine_to_coarse"]
+        assert hx_w["closed_form_failure"] == hx["closed_form_failure"] is None
+        assert np.array_equal(pw_w["table"], pw["table"])
+        assert pw_w["factorization_failure"] == pw["factorization_failure"] is None
+        assert pw_w["shift_failure"] == pw["shift_failure"] is None
+
+
+def test_forked_bundle_merges_the_key_classes_in_row_order(monkeypatch):
+    """Row range 1 of two reports class 3 at all its pairs.  In one sweep its
+    writes come last, so every fine key maps to class 3, and merging the key
+    classes of the two ranges must give the same."""
+    ctx, real = tower(2), conic.classify_pairs
+    first = conic.split_rows(len(pair_reps(ctx)), 2)[1]
+
+    def class_3_in_range_1(ctx, si, ti):
+        cls, key, closed = real(ctx, si, ti)
+        return np.where(si >= first, np.int8(3), cls), key, closed
+
+    monkeypatch.setattr(conic, "classify_pairs", class_3_in_range_1)
+    one, two = conic.table_bundle(ctx), conic.table_bundle(ctx, 2)
+    assert set(one["fine_to_coarse"].values()) == {3}
+    assert two["fine_to_coarse"] == one["fine_to_coarse"]
+    assert np.array_equal(two["table"], one["table"])
