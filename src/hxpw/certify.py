@@ -42,7 +42,7 @@ wall time `<stage>_s` and peak RSS after it `<stage>_rss_mb`, `total_s`,
 or of its reaped sweep workers if larger, in KB on Linux, the only platform
 CI and the benchmark run on; a high-water mark, so a stage's own peak shows
 as the step it adds.  Linux carries it across exec, so it includes the peak
-of the process that started `hxpw certify`; CI and `bench/stages.py` use small ones.
+of the process that started `hxpw certify`; CI starts it from a small one.
 """
 
 from __future__ import annotations
@@ -168,26 +168,25 @@ def _tables(h):
 def _algebraic_routes(st):
     """Both algebraic routes and the three identities over every pair.
 
-    Up to TABLE_MAX_H the sweep reads the two tables, which later stages
-    use; above it the pairs are classified block by block and no table is
-    built, each row range tallying its own blocks.
+    Each row range tallies its own blocks: up to TABLE_MAX_H it reads the
+    two finished tables, which later stages use; above it the pairs are
+    classified block by block and no table is built.
     """
-    ctx, workers = st.ctx, st.workers
+    ctx, n = st.ctx, len(pair_reps(st.ctx))
     try:
         if ctx.h > TABLE_MAX_H:
-            tallies = conic.sweep_rows(len(pair_reps(ctx)), workers, lambda lo, hi: (
-                _route_tally(ctx, _classified_chunks(ctx, lo, hi))))
+            blocks = lambda lo, hi: _classified_chunks(ctx, lo, hi)
         else:
             # the Klein sweep, the larger of the two, runs first, so that the
             # hx table and fine table are not held through it
-            pw = hemisystem.klein_table_bundle(ctx, workers)
-            hx = st.hx = conic.table_bundle(ctx, workers)
+            pw = hemisystem.klein_table_bundle(ctx, st.workers)
+            hx = st.hx = conic.table_bundle(ctx, st.workers)
             failures = (hx["closed_form_failure"], pw["factorization_failure"],
                         pw["shift_failure"])
-            tallies = [_route_tally(ctx, (
-                (si, ti, hx["table"][si, ti], pw["table"][si, ti], *failures)
-                for si, ti in conic.pair_chunks(len(hx["table"]))))]
-        routes, identities = _route_blocks(ctx, tallies)
+            blocks = lambda lo, hi: ((si, ti, hx["table"][si, ti], pw["table"][si, ti], *failures)
+                                     for si, ti in conic.pair_chunks(n, lo, hi))
+        routes, identities = _route_blocks(ctx, conic.sweep_rows(
+            n, st.workers, lambda lo, hi: _route_tally(ctx, blocks(lo, hi))))
     except (ClassificationError, StructureError) as exc:
         table = "conic_table" if isinstance(exc, ClassificationError) else "klein_table"
         return {"identities": {"skipped": "routes failed"},
@@ -372,9 +371,10 @@ def _analytics_blocks(q, an):
 
 def _fine_block(ctx, hx):
     expected_classes = ctx.q2 // 2 - 1
-    nlabels = len(hx["fine_to_coarse"])
-    fine = RelationTable(hx["fine_table"], d=nlabels)
     f2c = hx["fine_to_coarse"]
+    fine = RelationTable(hx["fine_table"], d=len(f2c))
+    # the labels that occur; np.bincount of the table would copy it to int64
+    nlabels = int(np.count_nonzero(np.isin(np.arange(1, fine.d + 1), fine.classes)))
     # part c holds the fine classes of coarse class c (class 1 is empty at q = 2)
     fused = schemes.fuse(fine, [[k for k in f2c if f2c[k] == c] for c in (1, 2, 3)])
     fusion_matches = bool(np.array_equal(fused.classes, hx["table"]))

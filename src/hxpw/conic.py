@@ -10,17 +10,18 @@ unordered pair of pairs is
 
 whose value always lies in the zero-trace subset of GF(q^2).  The class is
 1, 2 or 3 according as rhat falls in the nonzero zero-trace part of GF(q),
-the nonzero-trace part of GF(q), or outside GF(q).  Refining by the value
-of {rho, rho^(-1)} itself instead gives q^2/2 - 1 classes, and grouping
-those by rhat recovers the coarse classes.
+the nonzero-trace part of GF(q), or outside GF(q).  Refining by the fine
+key min(rho, rho^(-1)) gives q^2/2 - 1 classes, fixed by the field
+(`fine_labels`), and grouping those by rhat recovers the coarse classes.
 
 rho = 1 is algebraically impossible for distinct pairs (rho + 1 is a ratio
 of nonzero products), but since the class dictionary would degenerate
 there, any occurrence is reported as a hard failure, never guessed around.
 
 `classify_pairs` is the one bulk evaluation of that chain, on a row block
-of `pair_chunks`; `table_bundle` scatters the blocks into n x n tables and
-`certify` reduces them without tables, each over row ranges (`sweep_rows`).
+of `pair_chunks`; `table_bundle` scatters the blocks into the class table
+and the one-byte fine table, and `certify` tallies the routes, each over
+row ranges (`sweep_rows`) that return only first failures or tallies.
 
 The pairs are also the passants of the conic {(1, c, c^2)} u {(0, 0, 1)}
 of PG(2, q^2): `passants` checks in bulk that the line joining the two
@@ -86,12 +87,8 @@ def trace_sets(ctx: FieldTower):
     s1 = gq - t0_q
     t0_outside = t0_q2 - gq
     cls = np.zeros(ctx.size, dtype=np.int8)
-    for x in s0_star:
-        cls[x] = 1
-    for x in s1:
-        cls[x] = 2
-    for x in t0_outside:
-        cls[x] = 3
+    for c, part in enumerate((s0_star, s1, t0_outside), start=1):
+        cls[list(part)] = c
     return {"t0_q2": t0_q2, "s0_star": s0_star, "s1": s1,
             "t0_outside": t0_outside, "cls": cls}
 
@@ -259,9 +256,8 @@ def classify_pairs(ctx, si, ti):
     r = rho_of_pairs(ctx, si, ti)
     key = ctx.inv_arr(r)
     d = r ^ key
-    if np.any(d == 0):
-        k = int(np.argmax(d == 0))
-        raise ClassificationError(f"rho = 1 at pair indices ({int(si[k])}, {int(ti[k])})")
+    if one := first_pair(si, ti, d == 0):
+        raise ClassificationError(f"rho = 1 at pair indices ({one[0]}, {one[1]})")
     np.minimum(r, key, out=key)
     rhat = ctx.inv_arr(d)
     del d
@@ -280,42 +276,45 @@ def classify_pairs(ctx, si, ti):
     return cls, key, closed_form_failure
 
 
+@lru_cache(maxsize=None)
+def fine_labels(ctx):
+    """(lut, fine_to_coarse): rho is a ratio of two GF(q^2)-norms, so the read-only
+    `lut` maps the k-th smallest key min(x, x^(-1)), x in GF(q^2) - {0, 1}, to
+    label k and all else to 0; fine_to_coarse[k] is the class of its rhat."""
+    x = np.array(ctx.subfield(2 * ctx.h)[2:], dtype=np.int64)  # ascending: 0, 1 first
+    lut = np.zeros(ctx.size, dtype=np.min_scalar_type(ctx.q2 // 2 - 1))
+    lut[np.minimum(x, ctx.inv_arr(x))] = 1  # not np.unique, which imports numpy.ma
+    keys = np.flatnonzero(lut)
+    lut[keys] = np.arange(1, keys.size + 1)
+    lut.flags.writeable = False
+    coarse = trace_sets(ctx)["cls"][ctx.inv_arr(keys ^ ctx.inv_arr(keys))]
+    return lut, dict(enumerate(coarse.tolist(), start=1))
+
+
 def table_bundle(ctx, workers=1):
     """The n x n class tables from a chunked sweep of classify_pairs in `workers` row ranges.
 
-    Returns a dict with the int8 class `table`, the `fine_table` in the
-    smallest unsigned type that holds its labels (one byte at h <= 3; fine
-    class k is the k-th smallest fine key that occurs),
-    `fine_to_coarse` (fine class -> coarse class) and `closed_form_failure`,
-    the first pair where the closed form fails, or None.
+    Returns a dict with the int8 class `table`, the one-byte `fine_table` of
+    each block's fine keys turned into `fine_labels` (no key table is held),
+    `fine_to_coarse` and `closed_form_failure`, the first pair where the
+    closed form fails, or None.
     """
     n = len(pair_reps(ctx))
+    lut, fine_to_coarse = fine_labels(ctx)
     table = shared_zeros(n, np.int8, workers > 1)
-    keys = shared_zeros(n, np.min_scalar_type(ctx.size - 1), workers > 1)
+    fine = shared_zeros(n, lut.dtype, workers > 1)
 
     def sweep(lo, hi):
-        coarse_of_key = np.zeros(ctx.size, dtype=np.int8)  # 0: key absent
         failure = None
         for si, ti in pair_chunks(n, lo, hi):
             cls, key, closed = classify_pairs(ctx, si, ti)
             table[si, ti] = table[ti, si] = cls
-            keys[si, ti] = keys[ti, si] = key
-            coarse_of_key[key] = cls
+            fine[si, ti] = fine[ti, si] = lut[key]
             failure = failure or closed
-        return coarse_of_key, failure
+        return failure
 
-    parts = sweep_rows(n, workers, sweep)
-    coarse_of_key, failure = parts[0]
-    for part, closed in parts[1:]:  # a later row's write wins, as in one sweep
-        np.copyto(coarse_of_key, part, where=part != 0)
-        failure = failure or closed
-    labels = np.flatnonzero(coarse_of_key)
-    lut = np.zeros(ctx.size, dtype=np.min_scalar_type(labels.size))
-    lut[labels] = np.arange(1, labels.size + 1)
-    return {"table": table, "fine_table": lut[keys],
-            "fine_to_coarse": {k: int(coarse_of_key[lam])
-                               for k, lam in enumerate(labels, start=1)},
-            "closed_form_failure": failure}
+    return {"table": table, "fine_table": fine, "fine_to_coarse": dict(fine_to_coarse),
+            "closed_form_failure": next(filter(None, sweep_rows(n, workers, sweep)), None)}
 
 
 # ---------------------------------------------------------------------------

@@ -384,9 +384,8 @@ def klein_table_bundle(ctx, workers=1):
             fact_failure, shift_failure = fact_failure or fact, shift_failure or shift
         return fact_failure, shift_failure
 
-    fact_failure = shift_failure = None
-    for fact, shift in sweep_rows(n, workers, sweep):  # in row order
-        fact_failure, shift_failure = fact_failure or fact, shift_failure or shift
+    fact_failure, shift_failure = (next(filter(None, f), None)  # the first, in row order
+                                   for f in zip(*sweep_rows(n, workers, sweep)))
     return {"table": table, "factorization_failure": fact_failure,
             "shift_failure": shift_failure}
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,6 +210,13 @@ def test_sweep_blocks_match_table_path(cert2, cert_h3_cli):
         assert table_routes.pop("table_sha256") == hashlib.sha256(
             conic.table_bundle(ctx)["table"].tobytes()).hexdigest()
         assert routes == table_routes
+    # the table path, tallied over 1, 2 and 3 row ranges
+    for h, cert in ((2, cert2), (3, cert_h3_cli["cert"])):
+        for workers in (1, 2, 3):
+            st = SimpleNamespace(ctx=tower(h), workers=workers, hx=None)
+            out = certify_mod._algebraic_routes(st)
+            assert out["identities"] == cert["blocks"]["identities"]
+            assert out["routes"] == dict(cert["blocks"]["routes"], geometric=None)
 
 
 def _both_paths(monkeypatch, tmp_path, h):
@@ -306,6 +314,7 @@ def _assert_ledger(timings):
     assert timings["sweep_workers"] >= 1
     peaks = [timings[f"{name}_rss_mb"] for name in [*ran, "total"]]
     assert peaks == sorted(peaks) and peaks[0] > 0
+    assert all(timings["total_s"] >= timings[f"{name}_s"] for name in ran)
 
 
 def test_every_certificate_has_every_block(cert1, cert2, cert_h3_cli, monkeypatch, tmp_path):
@@ -645,22 +654,31 @@ def _wrong_expected_p(monkeypatch):
     monkeypatch.setattr(schemes, "expected_p_matrix", wrong)
 
 
+def _fine_key_fault(monkeypatch, edit):
+    """classify_pairs hands out edit(key, si, ti) as the fine keys of a block."""
+    real = conic.classify_pairs
+
+    def edited(ctx, si, ti):
+        cls, key, closed = real(ctx, si, ti)
+        return cls, edit(key, si, ti), closed
+
+    monkeypatch.setattr(conic, "classify_pairs", edited)
+
+
 def _merged_fine_labels(monkeypatch):
-    real = conic.table_bundle
+    """At every pair the key of fine label b becomes that of a smaller label a
+    of the same coarse class, so label b is left unused."""
+    lut, f2c = conic.fine_labels(tower(2))
+    a, b = next((a, b) for a in f2c for b in f2c if a < b and f2c[a] == f2c[b])
+    keys = np.flatnonzero(lut)
+    _fine_key_fault(monkeypatch, lambda key, si, ti: np.where(key == keys[b - 1], keys[a - 1], key))
 
-    def merged(ctx, *args):
-        """Fine label b joins label a of the same coarse class; the labels above
-        b move down one."""
-        hx = real(ctx, *args)
-        f2c = hx["fine_to_coarse"]
-        a, b = next((a, b) for a in f2c for b in f2c if a < b and f2c[a] == f2c[b])
-        fine = hx["fine_table"].copy()
-        fine[fine == b] = a
-        fine[fine > b] -= 1
-        return {**hx, "fine_table": fine,
-                "fine_to_coarse": {k - (k > b): c for k, c in f2c.items() if k != b}}
 
-    monkeypatch.setattr(conic, "table_bundle", merged)
+def _fine_key_off_the_keys(monkeypatch):
+    """Pair (40, 50), in row range 1 of two, gets max(rho, 1/rho) as its key."""
+    ctx = tower(2)
+    _fine_key_fault(monkeypatch, lambda key, si, ti: np.where(
+        (si == 40) & (ti == 50), ctx.inv_arr(key), key))
 
 
 def _false_identity_flag(monkeypatch):
@@ -839,6 +857,22 @@ def test_identity_failing_in_a_worker_gives_the_first_pair(pairs, monkeypatch, t
         assert code == 1 and cert["witness"] == {"block": "identities", "first_discrepancy": first}
     for (_, one), (_, two) in zip(runs[:2], runs[2:]):  # each path, with one and two workers
         assert canonical_json(one) == canonical_json(two)
+
+
+@pytest.mark.parametrize("fault", [_merged_fine_labels, _fine_key_off_the_keys])
+def test_fine_fault_fails_with_one_and_two_workers(fault, monkeypatch, tmp_path, capsys):
+    """A label left unused is one class short; a key that is none has label 0,
+    so the fine table no longer fuses to the class table.  The sweep, which
+    builds no fine table, still passes."""
+    fault(monkeypatch)
+    runs = _runs_with_one_and_two_workers(monkeypatch, tmp_path, capsys)
+    assert [code for code, _ in runs] == [1, 0, 1, 0]
+    unused = fault is _merged_fine_labels
+    for _, cert in runs[::2]:
+        fine = cert["blocks"]["fine"]
+        assert fine["pass"] is False and fine["expected_classes"] == 7
+        assert (fine["classes"], fine["fusion_matches"]) == ((6, True) if unused else (7, False))
+    assert canonical_json(runs[0][1]) == canonical_json(runs[2][1])
 
 
 def test_classification_error_in_a_worker_keeps_its_message(monkeypatch, tmp_path, capsys):

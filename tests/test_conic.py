@@ -142,6 +142,25 @@ def test_fine_labels_cover_all_unit_pairs():
     assert seen == expected
 
 
+@pytest.mark.parametrize("h, count", [(1, 1), (2, 7), (3, 31), (4, 127)])
+def test_fine_labels_are_fixed_by_the_field(h, count):
+    """Label k is the k-th smallest min(x, 1/x), x in GF(q^2) - {0, 1}, and
+    anything else has label 0; the scalar fine_label of a pair has a label,
+    and that label's coarse class is the pair's."""
+    ctx = tower(h)
+    lut, fine_to_coarse = conic.fine_labels(ctx)
+    keys = sorted({min(x, ctx.inv(x)) for x in ctx.subfield(2 * h) if x not in (0, 1)})
+    assert len(keys) == len(fine_to_coarse) == count == ctx.q2 // 2 - 1
+    assert np.flatnonzero(lut).tolist() == keys
+    assert lut[keys].tolist() == list(fine_to_coarse) == list(range(1, count + 1))
+    reps, rng = pair_reps(ctx), random.Random(h)
+    for _ in range(200):
+        s, t = rng.sample(reps, 2)
+        key, other = fine_label(ctx, s, t)
+        assert lut[other] == 0
+        assert fine_to_coarse[int(lut[key])] == classify(ctx, s, t)
+
+
 def test_fine_table_matches_scalar_labels(ctx2, hx_bundle_2):
     """Fine class k is the k-th smallest fine_label that occurs, on every pair."""
     reps = pair_reps(ctx2)
@@ -315,21 +334,3 @@ def test_forked_bundles_equal_the_one_process_sweep(h):
         assert np.array_equal(pw_w["table"], pw["table"])
         assert pw_w["factorization_failure"] == pw["factorization_failure"] is None
         assert pw_w["shift_failure"] == pw["shift_failure"] is None
-
-
-def test_forked_bundle_merges_the_key_classes_in_row_order(monkeypatch):
-    """Row range 1 of two reports class 3 at all its pairs.  In one sweep its
-    writes come last, so every fine key maps to class 3, and merging the key
-    classes of the two ranges must give the same."""
-    ctx, real = tower(2), conic.classify_pairs
-    first = conic.split_rows(len(pair_reps(ctx)), 2)[1]
-
-    def class_3_in_range_1(ctx, si, ti):
-        cls, key, closed = real(ctx, si, ti)
-        return np.where(si >= first, np.int8(3), cls), key, closed
-
-    monkeypatch.setattr(conic, "classify_pairs", class_3_in_range_1)
-    one, two = conic.table_bundle(ctx), conic.table_bundle(ctx, 2)
-    assert set(one["fine_to_coarse"].values()) == {3}
-    assert two["fine_to_coarse"] == one["fine_to_coarse"]
-    assert np.array_equal(two["table"], one["table"])
